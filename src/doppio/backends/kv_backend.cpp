@@ -33,25 +33,88 @@ static void forEachAsync(
   Step((*Items)[I], std::move(Continue));
 }
 
+/// One initialize(): the records are fetched into a fresh index, the
+/// children of each record in parallel, and the index is adopted only if
+/// every record decodes.
+struct KeyValueBackend::IndexLoad {
+  FileIndex Index;
+  bool Found = false;
+  size_t Outstanding = 0;
+  std::optional<ApiError> Err;
+  CompletionCb Done;
+};
+
 void KeyValueBackend::initialize(CompletionCb Done) {
-  Store->get("index", [this, Done = std::move(Done)](
-                          ErrorOr<std::optional<AsyncKvStore::Bytes>> R) {
-    if (!R) {
-      Done(R.error());
+  auto Load = std::make_shared<IndexLoad>();
+  Load->Done = std::move(Done);
+  loadDir(Load, "/");
+}
+
+void KeyValueBackend::loadDir(std::shared_ptr<IndexLoad> Load,
+                              const std::string &Dir) {
+  ++Load->Outstanding;
+  Store->get(dirKey(Dir), [this, Load, Dir](
+                              ErrorOr<std::optional<AsyncKvStore::Bytes>> R) {
+    std::vector<std::string> SubDirs;
+    if (Load->Err) {
+      // Already failed; the remaining fetches only drain.
+    } else if (!R) {
+      Load->Err = R.error();
+    } else if (R->has_value()) {
+      Load->Found = true;
+      if (!Load->Index.decodeDir(Dir, R->value(), SubDirs))
+        Load->Err = ApiError(Errno::Io, "corrupt directory record " + Dir);
+    }
+    for (const std::string &Sub : SubDirs)
+      loadDir(Load, Sub);
+    if (--Load->Outstanding != 0)
       return;
-    }
-    if (R->has_value()) {
-      std::string Text(R->value().begin(), R->value().end());
-      Index = FileIndex::deserialize(Text);
-    }
-    Done(std::nullopt);
+    // A store without records holds no file system yet: the index (which
+    // callers may already have populated) stays as it is.
+    if (!Load->Err && Load->Found)
+      Index = std::move(Load->Index);
+    Load->Done(Load->Err);
   });
 }
 
-void KeyValueBackend::persistIndex(CompletionCb Done) {
-  std::string Text = Index.serialize();
-  Store->put("index", AsyncKvStore::Bytes(Text.begin(), Text.end()),
-             std::move(Done));
+void KeyValueBackend::persistDirs(std::vector<std::string> Puts,
+                                  std::vector<std::string> Dels,
+                                  CompletionCb Done) {
+  auto PutStep = [this](const std::string &Dir, CompletionCb Next) {
+    // Encoded when its turn comes, so the record is the latest state; a
+    // directory removed meanwhile has no record to write.
+    if (!Index.list(Dir)) {
+      Next(std::nullopt);
+      return;
+    }
+    Store->put(dirKey(Dir), Index.encodeDir(Dir), std::move(Next));
+  };
+  auto DelStep = [this](const std::string &Dir, CompletionCb Next) {
+    Store->del(dirKey(Dir), std::move(Next));
+  };
+  forEachAsync(
+      std::make_shared<std::vector<std::string>>(std::move(Puts)), 0, PutStep,
+      [DelList = std::make_shared<std::vector<std::string>>(std::move(Dels)),
+       DelStep, Done = std::move(Done)](std::optional<ApiError> Err) {
+        if (Err) {
+          Done(Err);
+          return;
+        }
+        forEachAsync(DelList, 0, DelStep, Done);
+      });
+}
+
+std::vector<std::string> KeyValueBackend::recordFile(const std::string &Path,
+                                                     uint64_t SizeBytes) {
+  // addFile re-creates missing parents (a descriptor can outlive its
+  // directory): each one it adds changes, and so does the one above them.
+  std::vector<std::string> Changed;
+  std::string Dir = path::dirname(Path);
+  for (; !Index.exists(Dir); Dir = path::dirname(Dir))
+    Changed.push_back(Dir);
+  Changed.push_back(Dir);
+  Index.addFile(Path, SizeBytes, Env.clock().nowNs());
+  return Changed;
 }
 
 void KeyValueBackend::stat(const std::string &Path, ResultCb<Stats> Done) {
@@ -91,7 +154,7 @@ void KeyValueBackend::open(const std::string &Path, OpenFlags Flags,
   }
 
   // The descriptor writes the whole file back through the store and
-  // re-persists the index (sync-on-close lands here).
+  // re-persists its directory's record (sync-on-close lands here).
   PreloadFile::SyncFn Sync = [this](const std::string &P,
                                     const std::vector<uint8_t> &Bytes,
                                     CompletionCb SyncDone) {
@@ -102,8 +165,7 @@ void KeyValueBackend::open(const std::string &Path, OpenFlags Flags,
                    SyncDone(E);
                    return;
                  }
-                 Index.addFile(P, Size, Env.clock().nowNs());
-                 persistIndex(std::move(SyncDone));
+                 persistDirs(recordFile(P, Size), {}, std::move(SyncDone));
                });
   };
 
@@ -117,8 +179,7 @@ void KeyValueBackend::open(const std::string &Path, OpenFlags Flags,
       return;
     }
     // Creating: record the (empty) file immediately so stat sees it.
-    Index.addFile(Path, 0, Env.clock().nowNs());
-    persistIndex([Fd, Done](std::optional<ApiError> E) {
+    persistDirs(recordFile(Path, 0), {}, [Fd, Done](std::optional<ApiError> E) {
       if (E)
         Done(*E);
       else
@@ -157,12 +218,12 @@ void KeyValueBackend::unlink(const std::string &Path, CompletionCb Done) {
   }
   Index.remove(Path);
   Store->del(fileKey(Path),
-             [this, Done = std::move(Done)](std::optional<ApiError> E) {
+             [this, Path, Done = std::move(Done)](std::optional<ApiError> E) {
                if (E) {
                  Done(E);
                  return;
                }
-               persistIndex(Done);
+               persistDirs({path::dirname(Path)}, {}, Done);
              });
 }
 
@@ -182,7 +243,7 @@ void KeyValueBackend::rmdir(const std::string &Path, CompletionCb Done) {
     return;
   }
   Index.remove(Path);
-  persistIndex(std::move(Done));
+  persistDirs({path::dirname(Path)}, {Path}, std::move(Done));
 }
 
 void KeyValueBackend::mkdir(const std::string &Path, CompletionCb Done) {
@@ -201,7 +262,8 @@ void KeyValueBackend::mkdir(const std::string &Path, CompletionCb Done) {
     return;
   }
   Index.addDir(Path);
-  persistIndex(std::move(Done));
+  // No record of its own yet: a directory without one is empty.
+  persistDirs({path::dirname(Path)}, {}, std::move(Done));
 }
 
 void KeyValueBackend::readdir(const std::string &Path,
@@ -238,16 +300,30 @@ void KeyValueBackend::rename(const std::string &OldPath,
     Done(ApiError(Errno::IsDir, NewPath));
     return;
   }
+  bool IsDir = Meta->Type == FileType::Directory;
+  if (Dest && IsDir) {
+    Done(ApiError(Errno::NotDir, NewPath));
+    return;
+  }
+  if (OldPath == NewPath) {
+    Done(std::nullopt);
+    return;
+  }
 
   auto isUnder = [OldPath](const std::string &P) {
     return P.compare(0, OldPath.size(), OldPath) == 0 &&
            (P.size() == OldPath.size() || P[OldPath.size()] == '/');
   };
+  auto moved = [OldPath, NewPath](const std::string &P) {
+    return NewPath + P.substr(OldPath.size());
+  };
 
   // Collect the file payloads to move (one for a plain file, the subtree
-  // for a directory).
+  // for a directory) and, for a directory, the subtree's directories
+  // (sorted, so parents come first).
   auto Files = std::make_shared<std::vector<std::string>>();
-  if (Meta->Type == FileType::File) {
+  std::vector<std::string> Dirs;
+  if (!IsDir) {
     Files->push_back(OldPath);
   } else {
     if (isUnder(NewPath)) {
@@ -257,16 +333,16 @@ void KeyValueBackend::rename(const std::string &OldPath,
     for (const std::string &F : Index.allFiles())
       if (isUnder(F))
         Files->push_back(F);
+    for (const std::string &D : Index.allDirs())
+      if (isUnder(D))
+        Dirs.push_back(D);
   }
 
-  bool IsDir = Meta->Type == FileType::Directory;
   // Move each payload: get old key -> put new key -> delete old key.
-  auto MoveOne = [this, OldPath, NewPath](const std::string &F,
-                                          CompletionCb Next) {
-    std::string Moved = NewPath + F.substr(OldPath.size());
+  auto MoveOne = [this, moved](const std::string &F, CompletionCb Next) {
     Store->get(
         fileKey(F),
-        [this, F, Moved,
+        [this, F, Moved = moved(F),
          Next = std::move(Next)](ErrorOr<std::optional<AsyncKvStore::Bytes>> R) {
           if (!R) {
             Next(R.error());
@@ -287,33 +363,33 @@ void KeyValueBackend::rename(const std::string &OldPath,
 
   forEachAsync(
       Files, 0, MoveOne,
-      [this, Files, OldPath, NewPath, IsDir, isUnder,
+      [this, Files, Dirs = std::move(Dirs), OldPath, NewPath, moved,
        Done = std::move(Done)](std::optional<ApiError> Err) {
         if (Err) {
           Done(Err);
           return;
         }
         // Rewrite the index.
-        if (IsDir) {
-          std::vector<std::string> Dirs = Index.allDirs();
-          Index.addDir(NewPath);
-          for (const std::string &D : Dirs)
-            if (isUnder(D) && D != OldPath)
-              Index.addDir(NewPath + D.substr(OldPath.size()));
-        }
+        for (const std::string &D : Dirs)
+          Index.addDir(moved(D));
         for (const std::string &F : *Files) {
           const FileIndex::Meta *M = Index.lookup(F);
-          Index.addFile(NewPath + F.substr(OldPath.size()), M->SizeBytes,
-                        M->MtimeNs);
+          Index.addFile(moved(F), M->SizeBytes, M->MtimeNs);
         }
         for (auto It = Files->rbegin(); It != Files->rend(); ++It)
           Index.remove(*It);
-        if (IsDir) {
-          std::vector<std::string> Dirs = Index.allDirs();
-          for (auto It = Dirs.rbegin(); It != Dirs.rend(); ++It)
-            if (isUnder(*It))
-              Index.remove(*It);
-        }
-        persistIndex(Done);
+        for (auto It = Dirs.rbegin(); It != Dirs.rend(); ++It)
+          Index.remove(*It);
+        // Then the records: the destination subtree, the destination
+        // parent, the source parent; the source subtree's go last, so a
+        // torn rename leaves the old or the new tree reachable, never a
+        // blend.
+        std::vector<std::string> Puts;
+        for (const std::string &D : Dirs)
+          Puts.push_back(moved(D));
+        Puts.push_back(path::dirname(NewPath));
+        if (path::dirname(OldPath) != path::dirname(NewPath))
+          Puts.push_back(path::dirname(OldPath));
+        persistDirs(std::move(Puts), Dirs, Done);
       });
 }

@@ -2,10 +2,11 @@
 
 #include "doppio/fs_backend.h"
 
+#include "browser/wire.h"
+#include "doppio/cont/snapshot.h"
 #include "doppio/path.h"
 
 #include <cassert>
-#include <sstream>
 
 using namespace doppio;
 using namespace doppio::rt;
@@ -171,45 +172,96 @@ std::vector<std::string> FileIndex::allDirs() const {
   return Out;
 }
 
-std::string FileIndex::serialize() const {
-  std::ostringstream Out;
-  for (const auto &[Path, Meta] : Entries) {
-    if (Path == "/")
-      continue;
-    if (Meta.Type == FileType::Directory)
-      Out << "D " << Path << "\n";
-    else
-      Out << "F " << Meta.SizeBytes << " " << Meta.MtimeNs << " " << Path
-          << "\n";
+namespace {
+
+constexpr uint32_t DirRecordMagic = 0x44524543; // 'DREC'
+constexpr uint32_t DirRecordVersion = 1;
+
+/// FNV-1a 32-bit: every step is a bijection of the state, so any single
+/// changed byte (a bit flip) changes the checksum.
+uint32_t recordChecksum(const uint8_t *Data, size_t Size) {
+  uint32_t H = 2166136261u;
+  for (size_t I = 0; I != Size; ++I) {
+    H ^= Data[I];
+    H *= 16777619u;
   }
-  return Out.str();
+  return H;
 }
 
-FileIndex FileIndex::deserialize(const std::string &Text) {
-  FileIndex Index;
-  std::istringstream In(Text);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.size() < 3)
-      continue;
-    if (Line[0] == 'D') {
-      Index.addDir(Line.substr(2));
-      continue;
+/// A name one directory component can carry.
+bool isComponent(const std::string &Name) {
+  return !Name.empty() && Name != "." && Name != ".." &&
+         Name.find('/') == std::string::npos;
+}
+
+std::string childPath(const std::string &Dir, const std::string &Name) {
+  return Dir == "/" ? "/" + Name : Dir + "/" + Name;
+}
+
+} // namespace
+
+std::vector<uint8_t> FileIndex::encodeDir(const std::string &Dir) const {
+  const std::set<std::string> *Kids = list(Dir);
+  assert(Kids && "encodeDir on a path that is not a directory");
+  snap::Writer W(DirRecordMagic, DirRecordVersion);
+  W.str(Dir);
+  W.u32(static_cast<uint32_t>(Kids->size()));
+  for (const std::string &Name : *Kids) {
+    const Meta &M = Entries.at(childPath(Dir, Name));
+    W.str(Name);
+    W.u8(static_cast<uint8_t>(M.Type));
+    if (M.Type == FileType::File) {
+      W.u64(M.SizeBytes);
+      W.u64(M.MtimeNs);
     }
-    if (Line[0] != 'F')
-      continue;
-    std::istringstream Fields(Line.substr(2));
-    uint64_t Size = 0, Mtime = 0;
-    Fields >> Size >> Mtime;
-    std::string Path;
-    std::getline(Fields, Path);
-    // Strip the single separating space.
-    if (!Path.empty() && Path.front() == ' ')
-      Path.erase(Path.begin());
-    if (!Path.empty())
-      Index.addFile(Path, Size, Mtime);
   }
-  return Index;
+  std::vector<uint8_t> Out = W.take();
+  browser::wire::putU32(Out, recordChecksum(Out.data(), Out.size()));
+  return Out;
+}
+
+bool FileIndex::decodeDir(const std::string &Dir,
+                          const std::vector<uint8_t> &Record,
+                          std::vector<std::string> &SubDirs) {
+  assert(isEmptyDir(Dir) && "decodeDir into a populated directory");
+  snap::Reader R(Record, DirRecordMagic, DirRecordVersion);
+  if (R.str() != Dir)
+    return false;
+  // Decode everything before touching the index, so a reject adds nothing.
+  std::vector<std::pair<std::string, Meta>> Kids;
+  uint32_t N = R.u32();
+  for (uint32_t I = 0; I != N && R.ok(); ++I) {
+    std::string Name = R.str();
+    Meta M;
+    uint8_t Type = R.u8();
+    if (Type == static_cast<uint8_t>(FileType::File)) {
+      M.SizeBytes = R.u64();
+      M.MtimeNs = R.u64();
+    } else if (Type == static_cast<uint8_t>(FileType::Directory)) {
+      M.Type = FileType::Directory;
+    } else {
+      return false;
+    }
+    // Names are distinct components, in the set's sorted order.
+    if (!isComponent(Name) || (!Kids.empty() && !(Kids.back().first < Name)))
+      return false;
+    Kids.emplace_back(std::move(Name), M);
+  }
+  uint32_t Checksum = R.u32();
+  if (!R.atEnd() ||
+      Checksum != recordChecksum(Record.data(), Record.size() - 4))
+    return false;
+  std::set<std::string> &Names = Children[Dir];
+  for (auto &[Name, M] : Kids) {
+    std::string Path = childPath(Dir, Name);
+    Entries[Path] = M;
+    if (M.Type == FileType::Directory) {
+      Children[Path] = {};
+      SubDirs.push_back(Path);
+    }
+    Names.insert(Names.end(), std::move(Name));
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

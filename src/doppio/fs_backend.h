@@ -108,11 +108,18 @@ public:
   /// All directory paths (excluding "/"), sorted.
   std::vector<std::string> allDirs() const;
 
-  /// Serializes to a line-based listing ("D <path>" / "F <size> <mtime>
-  /// <path>"), the format persisted by key/value-store backends.
-  std::string serialize() const;
-  /// Reconstructs an index from serialize() output.
-  static FileIndex deserialize(const std::string &Text);
+  /// The persisted record of directory \p Dir, the unit key/value-store
+  /// backends persist (one per directory, so a mutation rewrites only the
+  /// record of the directory it touched). snap framing: the directory's
+  /// own path, then per child its name, type and, for files, size and
+  /// mtime; an FNV-1a checksum of everything before it closes the record.
+  std::vector<uint8_t> encodeDir(const std::string &Dir) const;
+  /// Adds the children listed by \p Record to \p Dir, an empty directory
+  /// of this index, and appends the paths of the child directories to
+  /// \p SubDirs. A torn or corrupt record, or one written for another
+  /// directory, is rejected: false, and the index is left unchanged.
+  bool decodeDir(const std::string &Dir, const std::vector<uint8_t> &Record,
+                 std::vector<std::string> &SubDirs);
 
 private:
   std::map<std::string, Meta> Entries;          // Path -> metadata.

@@ -355,6 +355,9 @@ void CachedKvStore::doPut(const std::string &Key, Bytes Value, DoneCb Done) {
 
   Env.chargeIo(100 + Value.size() / 8);
 
+  // New blocks first: a block the old value shares stays referenced,
+  // and so stays dirty and billed, instead of being dropped and re-added.
+  insertBlocks(M, Value);
   auto It = Entries.find(Key);
   if (It != Entries.end()) {
     dropEntryBlocks(It->second);
@@ -364,7 +367,6 @@ void CachedKvStore::doPut(const std::string &Key, Bytes Value, DoneCb Done) {
     It->second.LruPos = LruList.begin();
   }
   Entry &E = It->second;
-  insertBlocks(M, Value);
   E.M = M;
   E.Dirty = true;
   E.Tombstone = false;
@@ -379,7 +381,11 @@ void CachedKvStore::doPut(const std::string &Key, Bytes Value, DoneCb Done) {
   BytesG->set(static_cast<int64_t>(CachedBytes));
   DirtyBytesG->set(static_cast<int64_t>(DirtyBytes));
 
-  if (DirtyBytes > Cfg.DirtyHighWaterBytes)
+  // Backpressure: too many dirty bytes, or an open group past the
+  // checkpoint size (the timer alone lets it grow without bound when
+  // foreground work starves the Background lane).
+  if (DirtyBytes > Cfg.DirtyHighWaterBytes ||
+      J.stagedBytes() > Cfg.CheckpointJournalBytes)
     kickFlush(/*Backpressure=*/true);
   else
     armFlushTimer();
@@ -473,8 +479,13 @@ void CachedKvStore::dropEntryBlocks(const Entry &E) {
     // An unreferenced dirty block will never be read back: within a commit
     // group the last record for a key wins, so its payload need not reach
     // the slow store at all.
-    if (DirtyBlocks.erase(B))
+    if (DirtyBlocks.erase(B)) {
       DirtyBytes -= B.Size;
+      // Its projected quota cost goes with it (doPut billed it when it
+      // turned dirty).
+      DirtyProjected -= std::min(DirtyProjected,
+                                 Slow->putCostBytes(blockKey(B), B.Size));
+    }
     Pool.erase(It);
   }
 }

@@ -22,11 +22,12 @@
 ///  - Writes: acknowledged after the value is split into content-addressed
 ///    blocks, cached dirty, and its intent record staged in the journal.
 ///    A kernel Background-lane timer flushes dirty state (group commit);
-///    crossing the dirty high-water mark flushes immediately
-///    (backpressure). Flush order is the crash-consistency contract:
-///    blocks first (content-addressed, so a torn flush is garbage, never
-///    corruption), then the sealed journal image in one put — the
-///    durability point (journal.h).
+///    crossing the dirty high-water mark, or an open group larger than
+///    CheckpointJournalBytes, flushes immediately (backpressure). Flush
+///    order is the crash-consistency contract: blocks first
+///    (content-addressed, so a torn flush is garbage, never corruption),
+///    then the sealed journal image in one put — the durability point
+///    (journal.h).
 ///  - Eviction: LRU over clean entries when the per-profile capacity
 ///    (derived from MemoryPressureBytes) is exceeded; dirty entries are
 ///    pinned until flushed. Quota pressure on the slow store fast-fails
@@ -72,7 +73,8 @@ struct CacheConfig {
   /// Background flush timer period (group-commit cadence).
   uint64_t FlushIntervalNs = browser::msToNs(8);
   /// Journal size that triggers a checkpoint (directory snapshot +
-  /// truncation + block GC) after the next flush.
+  /// truncation + block GC) after the next flush; an open group this
+  /// large is flushed at once.
   size_t CheckpointJournalBytes = 256 * 1024;
   /// Directory neighbours fetched ahead on a sequential miss run.
   unsigned PrefetchDepth = 8;

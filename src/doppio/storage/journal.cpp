@@ -136,6 +136,8 @@ void Journal::stagePut(const std::string &Key, const Manifest &M) {
   R.K = Record::Kind::Put;
   R.Key = Key;
   R.M = M;
+  // Kind, key length, key, size, block count, blocks, checksum.
+  StagedBytes += 1 + 4 + Key.size() + 8 + 4 + 12 * M.Blocks.size() + 4;
   Staged.push_back(std::move(R));
 }
 
@@ -143,12 +145,14 @@ void Journal::stageDel(const std::string &Key) {
   Record R;
   R.K = Record::Kind::Del;
   R.Key = Key;
+  StagedBytes += 1 + 4 + Key.size() + 4;
   Staged.push_back(std::move(R));
 }
 
 const std::vector<uint8_t> &Journal::sealGroup() {
   std::vector<Record> Group;
   Group.swap(Staged);
+  StagedBytes = 0;
   appendGroup(Group);
   return Log;
 }
@@ -175,6 +179,7 @@ Journal::Recovery Journal::recover(const std::vector<uint8_t> &Bytes,
                                    Directory &Dir) {
   Recovery Out;
   Staged.clear();
+  StagedBytes = 0;
   Log.clear();
   writeHeader(Log);
   if (Bytes.empty()) { // Never journaled: a valid empty log.

@@ -7,9 +7,9 @@
 /// \file
 /// The crash-consistency half of the storage hierarchy. Browser key/value
 /// mechanisms give per-key atomicity and nothing more; one logical file
-/// operation through KeyValueBackend is several puts (data, index), so a
-/// tab killed mid-operation leaves the persisted tree torn. The journal
-/// closes that hole the way a log-structured file system does:
+/// operation through KeyValueBackend is several puts (payload, directory
+/// records), so a tab killed mid-operation leaves the persisted tree torn.
+/// The journal closes that hole the way a log-structured file system does:
 ///
 ///  - every logical mutation is an appended *intent record* (Put = key +
 ///    block manifest, Del = key) staged into an open group;
@@ -58,6 +58,8 @@ public:
   void stageDel(const std::string &Key);
 
   size_t stagedRecords() const { return Staged.size(); }
+  /// Encoded size of the open group's records.
+  size_t stagedBytes() const { return StagedBytes; }
   const std::vector<Record> &staged() const { return Staged; }
 
   /// Seals the open group: appends the staged records plus a Commit
@@ -102,6 +104,7 @@ private:
   static void encodeRecord(std::vector<uint8_t> &Out, const Record &R);
 
   std::vector<Record> Staged;
+  size_t StagedBytes = 0;
   std::vector<uint8_t> Log;
   uint64_t NextSeq = 0;
 };

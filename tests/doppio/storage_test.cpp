@@ -19,9 +19,13 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace doppio;
@@ -577,6 +581,51 @@ TEST(CachedStore, QuotaPressureEvictionPerProfile) {
   }
 }
 
+/// Overwrites chained faster than the Background-lane flush timer can
+/// fire (as when foreground work starves that lane): the quota projection
+/// must release each dropped dirty block, and the open group must flush
+/// once it outgrows the checkpoint size instead of growing without bound.
+TEST(CachedStore, ChainedOverwritesWithoutTheTimerStayWithinQuota) {
+  BrowserEnv Env(chromeProfile());
+  Env.indexedDB()->setQuotaBytes(1u << 20);
+  CacheConfig C = quiescentConfig();
+  C.FlushIntervalNs = browser::msToNs(3600 * 1000);
+  C.CheckpointJournalBytes = 4 * 1024;
+  CachedKvStore Store(Env, std::make_unique<fs::IndexedDbKv>(Env), C);
+  drain(Env);
+  ASSERT_TRUE(Store.ready());
+
+  // 8 keys of one 16 KB block each (128 KB live of a 1 MB quota), each
+  // overwritten 200 times with fresh contents.
+  auto Value = [](int Round, int K) {
+    Bytes V = blob(16 * 1024, static_cast<uint8_t>(K));
+    V[0] = static_cast<uint8_t>(Round);
+    V[1] = static_cast<uint8_t>(Round >> 8);
+    return V;
+  };
+  size_t MaxStaged = 0;
+  for (int Round = 0; Round != 200; ++Round) {
+    for (int K = 0; K != 8; ++K) {
+      std::optional<ApiError> Err =
+          putKv(Env, Store, "k" + std::to_string(K), Value(Round, K));
+      ASSERT_FALSE(Err.has_value())
+          << "round " << Round << " key " << K << ": " << Err->message();
+      MaxStaged = std::max(MaxStaged, Store.journal().stagedRecords());
+    }
+  }
+  EXPECT_LT(Env.clock().nowNs(), C.FlushIntervalNs); // The timer never ran.
+  // A record of a two-character key and one block is 35 bytes: the open
+  // group never holds much more than the checkpoint size.
+  EXPECT_LE(MaxStaged, C.CheckpointJournalBytes / 35 + 1);
+
+  ASSERT_FALSE(syncKv(Env, Store).has_value());
+  for (int K = 0; K != 8; ++K) {
+    auto V = getKv(Env, Store, "k" + std::to_string(K));
+    ASSERT_TRUE(V.has_value());
+    EXPECT_EQ(*V, Value(199, K));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // FS semantics over the cached store
 //===----------------------------------------------------------------------===//
@@ -652,6 +701,391 @@ TEST(CachedStore, FileSystemSemanticsAndReload) {
   drain(Env);
   ASSERT_TRUE(Data.has_value());
   EXPECT_EQ(textOf(*Data), "cached bits");
+}
+
+//===----------------------------------------------------------------------===//
+// KeyValueBackend: per-directory records
+//===----------------------------------------------------------------------===//
+
+/// A synchronous store over a map the test owns, so its objects outlive
+/// every mount and can be edited between mounts.
+class MapKv : public fs::AsyncKvStore {
+public:
+  explicit MapKv(std::map<std::string, Bytes> &Objects) : Objects(Objects) {}
+  std::string storeName() const override { return "map"; }
+  void get(const std::string &Key, GetCb Done) override {
+    auto It = Objects.find(Key);
+    Done(It == Objects.end() ? std::optional<Bytes>()
+                             : std::optional<Bytes>(It->second));
+  }
+  void put(const std::string &Key, const Bytes &Value,
+           DoneCb Done) override {
+    Objects[Key] = Value;
+    Done(std::nullopt);
+  }
+  void del(const std::string &Key, DoneCb Done) override {
+    Objects.erase(Key);
+    Done(std::nullopt);
+  }
+
+private:
+  std::map<std::string, Bytes> &Objects;
+};
+
+/// Forwards to a store it does not own. Records every put (key, size),
+/// and fails the FailAt-th get/put/del with EIO when FailAt is set.
+class CountingKv : public fs::AsyncKvStore {
+public:
+  explicit CountingKv(fs::AsyncKvStore &Inner) : Inner(Inner) {}
+  std::string storeName() const override { return Inner.storeName(); }
+  void get(const std::string &Key, GetCb Done) override {
+    if (injectFailure())
+      Done(ApiError(Errno::Io, "injected: " + Key));
+    else
+      Inner.get(Key, std::move(Done));
+  }
+  void put(const std::string &Key, const Bytes &Value,
+           DoneCb Done) override {
+    if (injectFailure()) {
+      Done(ApiError(Errno::Io, "injected: " + Key));
+      return;
+    }
+    Puts.emplace_back(Key, Value.size());
+    Inner.put(Key, Value, std::move(Done));
+  }
+  void del(const std::string &Key, DoneCb Done) override {
+    if (injectFailure())
+      Done(ApiError(Errno::Io, "injected: " + Key));
+    else
+      Inner.del(Key, std::move(Done));
+  }
+  void sync(DoneCb Done) override { Inner.sync(std::move(Done)); }
+
+  std::vector<std::pair<std::string, size_t>> Puts;
+  uint64_t Calls = 0;
+  uint64_t FailAt = 0;
+
+private:
+  bool injectFailure() { return ++Calls == FailAt; }
+
+  fs::AsyncKvStore &Inner;
+};
+
+/// path -> (is directory, size, mtime): everything the records persist.
+using Tree = std::map<std::string, std::tuple<bool, uint64_t, uint64_t>>;
+
+Tree treeOf(const fs::FileIndex &Index) {
+  Tree T;
+  for (const std::string &D : Index.allDirs())
+    T[D] = {true, 0, 0};
+  for (const std::string &F : Index.allFiles()) {
+    const fs::FileIndex::Meta *M = Index.lookup(F);
+    T[F] = {false, M->SizeBytes, M->MtimeNs};
+  }
+  return T;
+}
+
+/// Runs one completion-style call and drains the loop.
+std::optional<ApiError> call(BrowserEnv &Env,
+                             const std::function<void(fs::CompletionCb)> &Fn) {
+  std::optional<ApiError> Out;
+  bool Called = false;
+  Fn([&](std::optional<ApiError> E) {
+    Out = E;
+    Called = true;
+  });
+  drain(Env);
+  EXPECT_TRUE(Called);
+  return Out;
+}
+
+/// One tab whose file system is a KeyValueBackend over the named store
+/// ("localstorage", "indexeddb", "cloud", "cached-indexeddb"), reached
+/// through a CountingKv. The stored objects outlive every mount: the
+/// tab keeps localStorage and IndexedDB, the cloud adapter is kept, and
+/// the cache is rebuilt over IndexedDB on each mount.
+struct KvWorld {
+  explicit KvWorld(std::string Name) : Name(std::move(Name)) {}
+  ~KvWorld() {
+    Fs.reset();
+    drain(Env);
+  }
+
+  /// Syncs and drops the current mount, then mounts afresh.
+  std::optional<ApiError> remount() {
+    if (Kv) {
+      std::optional<ApiError> Err =
+          call(Env, [&](fs::CompletionCb Done) { Kv->sync(Done); });
+      if (Err)
+        return Err;
+    }
+    Fs.reset();
+    Kv = nullptr;
+    drain(Env);
+    if (Name == "localstorage")
+      Store = std::make_unique<fs::LocalStorageKv>(Env);
+    else if (Name == "indexeddb")
+      Store = std::make_unique<fs::IndexedDbKv>(Env);
+    else if (Name == "cloud")
+      Store = std::make_unique<CountingKv>(Cloud);
+    else
+      Store = std::make_unique<CachedKvStore>(
+          Env, std::make_unique<fs::IndexedDbKv>(Env), quiescentConfig());
+    auto C = std::make_unique<CountingKv>(*Store);
+    Counter = C.get();
+    auto B = std::make_unique<fs::KeyValueBackend>(Env, std::move(C));
+    Kv = B.get();
+    std::optional<ApiError> Err =
+        call(Env, [&](fs::CompletionCb Done) { B->initialize(Done); });
+    Fs = std::make_unique<fs::FileSystem>(Env, Proc, std::move(B));
+    return Err;
+  }
+
+  std::optional<ApiError> mkdir(const std::string &P) {
+    return call(Env, [&](fs::CompletionCb Done) { Fs->mkdir(P, Done); });
+  }
+  std::optional<ApiError> write(const std::string &P, const Bytes &Data) {
+    return call(Env,
+                [&](fs::CompletionCb Done) { Fs->writeFile(P, Data, Done); });
+  }
+  Tree tree() const { return treeOf(Kv->index()); }
+
+  std::string Name;
+  BrowserEnv Env{chromeProfile()};
+  Process Proc;
+  fs::CloudKv Cloud{Env};
+  std::unique_ptr<fs::AsyncKvStore> Store;
+  CountingKv *Counter = nullptr;
+  fs::KeyValueBackend *Kv = nullptr;
+  std::unique_ptr<fs::FileSystem> Fs;
+};
+
+class KvRecords : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(KvRecords, EveryOperationSurvivesARemount) {
+  KvWorld W(GetParam());
+  ASSERT_FALSE(W.remount());
+  ASSERT_FALSE(W.mkdir("/a"));
+  ASSERT_FALSE(W.mkdir("/a/b"));
+  ASSERT_FALSE(W.mkdir("/a/line\nbreak"));
+  ASSERT_FALSE(W.write("/a/f1", blob(3000, 1)));
+  ASSERT_FALSE(W.write("/a/b/f2", blob(40000, 2)));
+  ASSERT_FALSE(W.write("/a/line\nbreak/f\n3", blob(10, 3)));
+  ASSERT_FALSE(W.write("/top", blob(500, 4)));
+  ASSERT_FALSE(W.write("/a/f1", blob(2000, 5))); // Rewrite: new size.
+  ASSERT_FALSE(
+      call(W.Env, [&](fs::CompletionCb D) { W.Fs->unlink("/a/f1", D); }));
+  ASSERT_FALSE(W.mkdir("/gone"));
+  ASSERT_FALSE(
+      call(W.Env, [&](fs::CompletionCb D) { W.Fs->rmdir("/gone", D); }));
+  ASSERT_FALSE(call(W.Env, [&](fs::CompletionCb D) {
+    W.Fs->rename("/top", "/a/b/top2", D);
+  }));
+  ASSERT_FALSE(call(W.Env, [&](fs::CompletionCb D) {
+    W.Fs->rename("/a/b", "/moved", D);
+  }));
+  ASSERT_FALSE(call(W.Env, [&](fs::CompletionCb D) {
+    W.Fs->rename("/moved/f2", "/moved/f2r", D);
+  }));
+  // Renaming onto itself changes nothing; a directory cannot replace a
+  // file.
+  ASSERT_FALSE(call(W.Env, [&](fs::CompletionCb D) {
+    W.Fs->rename("/moved/f2r", "/moved/f2r", D);
+  }));
+  std::optional<ApiError> NotDir = call(W.Env, [&](fs::CompletionCb D) {
+    W.Fs->rename("/a", "/moved/top2", D);
+  });
+  ASSERT_TRUE(NotDir.has_value());
+  EXPECT_EQ(NotDir->Code, Errno::NotDir);
+
+  Tree Before = W.tree();
+  Tree Want = {{"/a", {true, 0, 0}},
+               {"/a/line\nbreak", {true, 0, 0}},
+               {"/a/line\nbreak/f\n3", {false, 10, 0}},
+               {"/moved", {true, 0, 0}},
+               {"/moved/f2r", {false, 40000, 0}},
+               {"/moved/top2", {false, 500, 0}}};
+  ASSERT_EQ(Before.size(), Want.size());
+  for (const auto &[Path, Entry] : Want) {
+    ASSERT_TRUE(Before.count(Path)) << Path;
+    EXPECT_EQ(std::get<0>(Before[Path]), std::get<0>(Entry)) << Path;
+    EXPECT_EQ(std::get<1>(Before[Path]), std::get<1>(Entry)) << Path;
+  }
+
+  ASSERT_FALSE(W.remount());
+  EXPECT_EQ(W.tree(), Before);
+  std::optional<Bytes> Data;
+  W.Fs->readFile("/moved/f2r", [&](ErrorOr<Bytes> R) {
+    ASSERT_TRUE(R.ok()) << R.error().message();
+    Data = *R;
+  });
+  drain(W.Env);
+  ASSERT_TRUE(Data.has_value());
+  EXPECT_EQ(*Data, blob(40000, 2));
+}
+
+TEST_P(KvRecords, AWritePutsOneRecordSizedByItsDirectory) {
+  KvWorld W(GetParam());
+  ASSERT_FALSE(W.remount());
+  ASSERT_FALSE(W.mkdir("/d"));
+  for (int I = 0; I != 8; ++I)
+    ASSERT_FALSE(W.write("/d/f" + std::to_string(I), blob(100, 1)));
+
+  // Overwrites /d/f0; returns the records it put.
+  auto Overwrite = [&](uint8_t Seed) {
+    W.Counter->Puts.clear();
+    EXPECT_FALSE(W.write("/d/f0", blob(100, Seed)));
+    std::vector<std::pair<std::string, size_t>> Records;
+    size_t Payloads = 0;
+    for (const auto &[Key, Size] : W.Counter->Puts) {
+      if (Key.compare(0, 2, "d:") == 0)
+        Records.emplace_back(Key, Size);
+      Payloads += Key == "f:/d/f0";
+    }
+    EXPECT_EQ(Payloads, 1u);
+    EXPECT_EQ(W.Counter->Puts.size(), 2u);
+    return Records;
+  };
+  auto Small = Overwrite(2);
+  ASSERT_EQ(Small.size(), 1u);
+  EXPECT_EQ(Small[0].first, "d:/d");
+
+  // 160 files elsewhere in the tree leave the record's size alone.
+  for (int D = 0; D != 4; ++D) {
+    std::string Dir = "/else" + std::to_string(D);
+    ASSERT_FALSE(W.mkdir(Dir));
+    for (int I = 0; I != 40; ++I)
+      ASSERT_FALSE(W.write(Dir + "/file" + std::to_string(I), blob(64, 3)));
+  }
+  auto Large = Overwrite(4);
+  ASSERT_EQ(Large.size(), 1u);
+  EXPECT_EQ(Large[0], Small[0]);
+}
+
+/// rmdir is two store calls (the parent's record, then the directory's
+/// own). Failing either must leave a remount with the tree from before
+/// or after the rmdir, never a blend.
+TEST_P(KvRecords, TornRmdirRemountsToBeforeOrAfter) {
+  for (uint64_t K = 1;; ++K) {
+    SCOPED_TRACE("failed call " + std::to_string(K));
+    KvWorld W(GetParam());
+    ASSERT_FALSE(W.remount());
+    ASSERT_FALSE(W.mkdir("/a"));
+    ASSERT_FALSE(W.mkdir("/a/keep"));
+    ASSERT_FALSE(W.mkdir("/a/gone"));
+    ASSERT_FALSE(W.write("/a/keep/x", blob(100, 1)));
+    ASSERT_FALSE(W.remount());
+    Tree Before = W.tree();
+    Tree After = Before;
+    After.erase("/a/gone");
+
+    W.Counter->FailAt = W.Counter->Calls + K;
+    std::optional<ApiError> Err = call(
+        W.Env, [&](fs::CompletionCb D) { W.Fs->rmdir("/a/gone", D); });
+    ASSERT_FALSE(W.remount());
+    Tree Got = W.tree();
+    EXPECT_TRUE(Got == Before || Got == After);
+    if (!Err) {
+      EXPECT_EQ(Got, After);
+      EXPECT_GE(K, 3u); // Both calls were failed in turn.
+      break;
+    }
+    ASSERT_LT(K, 8u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, KvRecords,
+                         ::testing::Values("localstorage", "indexeddb",
+                                           "cloud", "cached-indexeddb"),
+                         [](const ::testing::TestParamInfo<std::string> &I) {
+                           std::string N = I.param;
+                           N.erase(std::remove(N.begin(), N.end(), '-'),
+                                   N.end());
+                           return N;
+                         });
+
+/// The directory-record decoder on torn and bit-flipped input: records
+/// captured from a real tree are truncated or have bits flipped, and each
+/// mount must either rebuild exactly the original tree or fail
+/// initialize(). Runs in the sanitizer leg with the other storage tests.
+TEST(KvRecordDecoder, MutatedRecordsDecodeExactlyOrFailInitialize) {
+  BrowserEnv Env(chromeProfile());
+  Process Proc;
+  std::map<std::string, Bytes> Objects;
+  Tree Want;
+  {
+    auto B = std::make_unique<fs::KeyValueBackend>(
+        Env, std::make_unique<MapKv>(Objects));
+    fs::KeyValueBackend *Kv = B.get();
+    ASSERT_FALSE(call(Env, [&](fs::CompletionCb D) { B->initialize(D); }));
+    fs::FileSystem Fs(Env, Proc, std::move(B));
+    for (const char *Dir : {"/work", "/work/src", "/work/src/com",
+                            "/work/src/com/sun", "/work/out",
+                            "/work/out/com", "/work/new\nline", "/lib"})
+      ASSERT_FALSE(
+          call(Env, [&](fs::CompletionCb D) { Fs.mkdir(Dir, D); }));
+    const char *Leaves[] = {"/work/src/com/sun", "/work/out/com",
+                            "/work/new\nline", "/lib", "/"};
+    for (int I = 0; I != 60; ++I) {
+      std::string Path = std::string(Leaves[I % 5]) + (I % 5 == 4 ? "" : "/") +
+                         "C" + std::to_string(I) +
+                         (I % 7 == 0 ? ".cla\nss" : ".class");
+      ASSERT_FALSE(call(Env, [&](fs::CompletionCb D) {
+        Fs.writeFile(Path, blob(static_cast<size_t>(I * 37), 1), D);
+      }));
+    }
+    Want = treeOf(Kv->index());
+  }
+  std::map<std::string, Bytes> Records;
+  for (const auto &[Key, Value] : Objects)
+    if (Key.compare(0, 2, "d:") == 0)
+      Records[Key] = Value;
+  ASSERT_EQ(Records.size(), 9u); // "/" and the eight directories.
+
+  auto Mount = [&](std::map<std::string, Bytes> &Store, Tree &Got) {
+    fs::KeyValueBackend B(Env, std::make_unique<MapKv>(Store));
+    std::optional<ApiError> Err;
+    bool Called = false;
+    B.initialize([&](std::optional<ApiError> E) {
+      Err = E;
+      Called = true;
+    });
+    EXPECT_TRUE(Called); // MapKv completes synchronously.
+    Got = treeOf(B.index());
+    return Err;
+  };
+  Tree Got;
+  ASSERT_FALSE(Mount(Records, Got));
+  ASSERT_EQ(Got, Want);
+
+  std::vector<std::string> Keys;
+  for (const auto &[Key, Value] : Records)
+    Keys.push_back(Key);
+  std::mt19937_64 Rng(0x5eed);
+  size_t Rejected = 0;
+  for (int I = 0; I != 4000; ++I) {
+    std::map<std::string, Bytes> Store = Records;
+    Bytes &Rec = Store[Keys[Rng() % Keys.size()]];
+    if (I % 2 == 0) {
+      Rec.resize(Rng() % Rec.size());
+    } else {
+      for (uint64_t Flips = 1 + Rng() % 3; Flips; --Flips) {
+        size_t Bit = Rng() % (Rec.size() * 8);
+        Rec[Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+      }
+    }
+    bool Unchanged = Store == Records;
+    if (Mount(Store, Got)) {
+      ++Rejected;
+      EXPECT_EQ(Got, Tree()) << "mutation " << I; // Nothing half-loaded.
+      EXPECT_FALSE(Unchanged) << "mutation " << I;
+      continue;
+    }
+    ASSERT_EQ(Got, Want) << "mutation " << I;
+  }
+  // Only a flip undone by a second flip of the same bit leaves a record
+  // intact.
+  EXPECT_GE(Rejected, 3900u);
 }
 
 //===----------------------------------------------------------------------===//
