@@ -36,6 +36,11 @@ struct NamedWorkload {
   Workload (*Make)();
 };
 
+/// Prints the parameter by name. gtest's default prints the struct's raw
+/// bytes (two pointers), which made the listed test names, and so the
+/// ctest names, change with every run's address layout.
+void PrintTo(const NamedWorkload &W, std::ostream *OS) { *OS << W.Name; }
+
 Workload smallRecursive() { return makeRecursive(14, 5); }
 Workload smallBinaryTrees() { return makeBinaryTrees(6); }
 Workload smallNQueens() { return makeNQueens(6); }
