@@ -98,8 +98,9 @@ inline RunMetrics runJvmWorkload(const workloads::Workload &W,
   M.Ops = D.Vm->stats().OpsExecuted;
   M.SuspendYields = D.Vm->stats().SuspendYields;
   M.Output = D.Proc.capturedStdout();
-  M.FsOperations = D.Fs->stats().Operations;
-  M.FsBytes = D.Fs->stats().BytesRead + D.Fs->stats().BytesWritten;
+  const rt::fs::FileSystem::Cells &Fs = D.Fs->cells();
+  M.FsOperations = Fs.Ops->value();
+  M.FsBytes = Fs.BytesRead->value() + Fs.BytesWritten->value();
   M.SuspendChecksExecuted = D.Vm->suspendChecksExecuted();
   M.SuspendChecksElided = D.Vm->suspendChecksElided();
   M.MaxOpsBetweenChecks = D.Vm->stats().MaxOpsBetweenChecks;

@@ -103,7 +103,8 @@ void printCounterAblation() {
            "(watchdog limit 5000 ms)\n",
            C.Label,
            100.0 * static_cast<double>(Susp) / static_cast<double>(Wall),
-           static_cast<double>(D.Env.loop().stats().MaxEventNs) / 1e6);
+           static_cast<double>(D.Env.loop().cells().MaxEventNs->value()) /
+               1e6);
   }
   printf("  (too-small counters waste time suspended; too-large ones\n"
          "   stretch events toward the watchdog limit — the adaptive\n"

@@ -14,8 +14,8 @@
 // cached rows put the write-back block cache + journal in front of the
 // slow stores; the warm cached-cloud pass is the acceptance gate: it must
 // land within 2x of the inmemory backend on Chrome (exit code 1
-// otherwise), versus the WAN-round-trip-per-operation cliff of raw cloud
-// storage.
+// otherwise, and also when a backend fails to load), versus the
+// WAN-round-trip-per-operation cliff of raw cloud storage.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +39,12 @@ namespace {
 
 /// Builds the root backend named by \p Backend ("inmemory", "indexeddb",
 /// "cloud", "cached-cloud", "journal-idb"). Returns null when the browser
-/// lacks the mechanism (no IndexedDB).
-std::unique_ptr<fs::FileSystemBackend> makeRoot(browser::BrowserEnv &Env,
-                                                const std::string &Backend) {
+/// lacks the mechanism (no IndexedDB). A key-value root comes back loaded:
+/// the loop runs until initialize() completes, and a failed load is
+/// stored in \p LoadError.
+std::unique_ptr<fs::FileSystemBackend>
+makeRoot(browser::BrowserEnv &Env, const std::string &Backend,
+         std::optional<ApiError> &LoadError) {
   if (Backend == "inmemory")
     return std::make_unique<fs::InMemoryBackend>(Env);
 
@@ -58,21 +61,40 @@ std::unique_ptr<fs::FileSystemBackend> makeRoot(browser::BrowserEnv &Env,
     Store = std::make_unique<storage::CachedKvStore>(Env, std::move(Store));
 
   auto Kv = std::make_unique<fs::KeyValueBackend>(Env, std::move(Store));
-  Kv->initialize([](std::optional<ApiError>) {});
+  bool Loaded = false;
+  Kv->initialize([&](std::optional<ApiError> E) {
+    Loaded = true;
+    LoadError = std::move(E);
+  });
+  while (!Loaded && Env.loop().runOne()) {
+  }
+  if (!Loaded)
+    LoadError = ApiError(Errno::Io, "initialize() never completed");
   return Kv;
 }
 
 /// Replays the trace \p Passes times over one backend instance in one
 /// browser; returns per-pass stats (pass 0 is cold, later passes run with
-/// the cache warm). An empty vector means the backend is unavailable.
+/// the cache warm). An empty vector means the backend is unavailable; a
+/// backend that fails to load yields passes with no operations and one
+/// error each.
 std::vector<ReplayStats> replayOn(const browser::Profile &P,
                                   const std::string &Backend,
                                   unsigned Passes) {
   browser::BrowserEnv Env(P);
   Process Proc;
-  std::unique_ptr<fs::FileSystemBackend> Root = makeRoot(Env, Backend);
+  std::optional<ApiError> LoadError;
+  std::unique_ptr<fs::FileSystemBackend> Root =
+      makeRoot(Env, Backend, LoadError);
   if (!Root)
     return {};
+  if (LoadError) {
+    fprintf(stderr, "fig6: %s on %s failed to load: %s\n", Backend.c_str(),
+            P.Name.c_str(), LoadError->message().c_str());
+    ReplayStats Failed;
+    Failed.Errors = 1;
+    return std::vector<ReplayStats>(Passes, Failed);
+  }
   fs::FileSystem Fs(Env, Proc, std::move(Root));
   Suspender Susp(Env);
   FsTrace Trace = makeJavacTrace();
@@ -86,16 +108,19 @@ std::vector<ReplayStats> replayOn(const browser::Profile &P,
 }
 
 /// Prints one table row and records it in \p Json; fills \p Factors with
-/// the per-profile slowdown factor (-1 for n/a).
-void emitRow(BenchJson &Json, const std::string &Label, uint64_t BaselineNs,
+/// the per-profile slowdown factor (-1 for n/a or a failed load). Returns
+/// false if any backend of the row failed to load.
+bool emitRow(BenchJson &Json, const std::string &Label, uint64_t BaselineNs,
              std::function<ReplayStats(const browser::Profile &)> Run,
              std::map<std::string, double> &Factors) {
   printf("%-17s", Label.c_str());
   BenchJson::Row &R = Json.row(Label);
+  bool Loaded = true;
   for (const browser::Profile &P : browser::allProfiles()) {
     ReplayStats S = Run(P);
     if (S.Operations == 0) {
-      printf(" %10s", "n/a");
+      Loaded = Loaded && S.Errors == 0;
+      printf(" %10s", S.Errors ? "FAIL" : "n/a");
       R.metric(P.Name, -1);
       Factors[P.Name] = -1;
       continue;
@@ -107,9 +132,11 @@ void emitRow(BenchJson &Json, const std::string &Label, uint64_t BaselineNs,
     Factors[P.Name] = Factor;
   }
   printf("\n");
+  return Loaded;
 }
 
-/// Returns true iff the cached-storage acceptance gate holds.
+/// Returns true iff every backend loaded and the cached-storage acceptance
+/// gate holds.
 bool printFigure6() {
   FsTrace Trace = makeJavacTrace();
   printf("==========================================================\n");
@@ -132,14 +159,15 @@ bool printFigure6() {
   printf("\n");
   BenchJson Json("fig6_fs");
   std::map<std::string, std::map<std::string, double>> Factors;
+  bool Loaded = true;
 
   for (const char *Backend : {"inmemory", "indexeddb", "cloud"})
-    emitRow(Json, Backend, BaselineNs,
-            [&](const browser::Profile &P) {
-              auto V = replayOn(P, Backend, 1);
-              return V.empty() ? ReplayStats() : V[0];
-            },
-            Factors[Backend]);
+    Loaded &= emitRow(Json, Backend, BaselineNs,
+                      [&](const browser::Profile &P) {
+                        auto V = replayOn(P, Backend, 1);
+                        return V.empty() ? ReplayStats() : V[0];
+                      },
+                      Factors[Backend]);
 
   // Cached rows: one run per profile per backend, two passes over the
   // same cache. The untimed seeding writes the 10.5 MB working set
@@ -151,19 +179,19 @@ bool printFigure6() {
     std::map<std::string, std::vector<ReplayStats>> Runs;
     for (const browser::Profile &P : browser::allProfiles())
       Runs[P.Name] = replayOn(P, Backend, 2);
-    emitRow(Json, Backend, BaselineNs,
-            [&](const browser::Profile &P) {
-              auto &V = Runs[P.Name];
-              return V.empty() ? ReplayStats() : V[0];
-            },
-            Factors[Backend]);
+    Loaded &= emitRow(Json, Backend, BaselineNs,
+                      [&](const browser::Profile &P) {
+                        auto &V = Runs[P.Name];
+                        return V.empty() ? ReplayStats() : V[0];
+                      },
+                      Factors[Backend]);
     std::string WarmLabel = std::string(Backend) + "+warm";
-    emitRow(Json, WarmLabel, BaselineNs,
-            [&](const browser::Profile &P) {
-              auto &V = Runs[P.Name];
-              return V.size() < 2 ? ReplayStats() : V[1];
-            },
-            Factors[WarmLabel]);
+    Loaded &= emitRow(Json, WarmLabel, BaselineNs,
+                      [&](const browser::Profile &P) {
+                        auto &V = Runs[P.Name];
+                        return V.size() < 2 ? ReplayStats() : V[1];
+                      },
+                      Factors[WarmLabel]);
   }
 
   // The DESIGN.md §19 acceptance gate: warm cached-cloud within 2x of
@@ -188,7 +216,9 @@ bool printFigure6() {
          " a write-back block cache + log-structured journal in front of\n"
          " the slow store. journal-idb is the same cache over IndexedDB,\n"
          " group-committing the journal instead of writing through.)\n\n");
-  return GateOk;
+  if (!Loaded)
+    printf("FAIL: a backend failed to load (rows marked FAIL)\n");
+  return GateOk && Loaded;
 }
 
 void BM_TraceReplay_Chrome(benchmark::State &State) {

@@ -96,15 +96,6 @@ struct Fleet {
   uint64_t LastResponseNs = 0;
 };
 
-double percentileUs(std::vector<uint64_t> Xs, double P) {
-  if (Xs.empty())
-    return 0;
-  std::sort(Xs.begin(), Xs.end());
-  size_t I = std::min(Xs.size() - 1,
-                      static_cast<size_t>(P * static_cast<double>(Xs.size())));
-  return static_cast<double>(Xs[I]) / 1e3;
-}
-
 struct ScaleResult {
   double ReqPerS = 0;
   double RouteP50Us = 0, RouteP99Us = 0;
@@ -141,12 +132,15 @@ ScaleResult runScale(const browser::Profile &P, size_t Shards) {
                           static_cast<double>(ElapsedNs)
                     : 0;
 
-  Balancer::Stats St = Cl.balancer().stats();
-  Out.Refused = St.ConnsRefused + St.RefusedSaturated;
-  Out.RouteP50Us = percentileUs(St.RouteNs, 0.50);
-  Out.RouteP99Us = percentileUs(St.RouteNs, 0.99);
-  Out.RttP50Us = percentileUs(St.UpstreamRttNs, 0.50);
-  Out.RttP99Us = percentileUs(St.UpstreamRttNs, 0.99);
+  const Balancer::Cells &BC = Cl.balancer().cells();
+  Out.Refused = BC.ConnsRefused->value() + BC.RefusedSaturated->value();
+  auto Us = [](const obs::Histogram &H, double Pct) {
+    return static_cast<double>(H.percentile(Pct)) / 1e3;
+  };
+  Out.RouteP50Us = Us(*BC.RouteNs, 50);
+  Out.RouteP99Us = Us(*BC.RouteNs, 99);
+  Out.RttP50Us = Us(*BC.UpstreamRttNs, 50);
+  Out.RttP99Us = Us(*BC.UpstreamRttNs, 99);
 
   for (uint32_t S = 0; S < Shards; ++S) {
     rt::server::ServerStats SS = Cl.shard(S)->server().stats();
@@ -203,13 +197,13 @@ DrainResult runDrain(const browser::Profile &P) {
   DrainResult Out;
   Out.Ok = F.Ok;
   Out.Err = F.Err;
-  Out.Rerouted = Cl.balancer().stats().Rerouted;
+  Out.Rerouted = Cl.balancer().cells().Rerouted->value();
   Out.PendingWork = Cl.shardPendingWorkNs(Victim).has_value();
   Out.Clean = Rep.Rounds < 10000000 && DrainDone &&
               F.Ok == NumClients * RequestsPerClient && F.Err == 0 &&
               F.ConnFailures == 0 && Cl.shardDrained(Victim) &&
               !Out.PendingWork && Cl.balancer().liveShards() == 3 &&
-              Cl.balancer().stats().ErrorsSynthesized == 0;
+              Cl.balancer().cells().ErrorsSynthesized->value() == 0;
   return Out;
 }
 

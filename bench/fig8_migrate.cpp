@@ -194,7 +194,7 @@ MigrateRun runOnce(const browser::Profile &P,
 
   auto Rep = Drv.run(10000000);
   Out.Quiesced = Rep.Rounds < 10000000;
-  Out.Migrations = Cl.balancer().migrationsDone();
+  Out.Migrations = Cl.balancer().cells().Migrations->value();
 
   // Reaped records stay addressable, so the source's captured stdout —
   // frozen at the checkpoint/kill instant — survives the migration.

@@ -96,7 +96,7 @@ int main() {
   printf("phase 1: 32 clients x 8 requests -> %llu ok, %llu forwarded\n",
          static_cast<unsigned long long>(Ok),
          static_cast<unsigned long long>(
-             Cl.balancer().stats().RequestsForwarded));
+             Cl.balancer().cells().RequestsForwarded->value()));
   printShardTable(Cl, {0, 1, 2, 3});
 
   // --- Phase 2: aggregated metrics through the same port -------------------

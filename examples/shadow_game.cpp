@@ -69,9 +69,10 @@ void report(const char *Title, const MiniVm &Vm,
          static_cast<unsigned long long>(S.SavesSucceeded));
   printf("  watchdog kills       : %llu\n",
          static_cast<unsigned long long>(
-             Env.loop().stats().WatchdogKills));
+             Env.loop().cells().WatchdogKills->value()));
+  int64_t WorstInputNs = Env.loop().cells().MaxInputLatencyNs->value();
   printf("  worst input latency  : %.1f ms\n",
-         static_cast<double>(Env.loop().stats().MaxInputLatencyNs) / 1e6);
+         static_cast<double>(WorstInputNs) / 1e6);
   printf("\n");
 }
 

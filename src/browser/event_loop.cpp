@@ -115,7 +115,7 @@ void EventLoop::dispatch(kernel::Kernel::Work W) {
   uint64_t Start = Clock.nowNs();
   if (W.L == Lane::Input) {
     uint64_t Latency = Start > W.ReadyNs ? Start - W.ReadyNs : 0;
-    MaxInputLatencyNsG->noteMax(static_cast<int64_t>(Latency));
+    Cells_.MaxInputLatencyNs->noteMax(static_cast<int64_t>(Latency));
   }
   // Attribute the scheduler wait to the causal span *before* running the
   // callback: the callback may be the one that closes the span, and a
@@ -134,30 +134,12 @@ void EventLoop::dispatch(kernel::Kernel::Work W) {
   --EventDepth;
   uint64_t End = Clock.nowNs();
   uint64_t DurationNs = End - Start;
-  EventsRunC->inc();
-  TotalEventNsC->inc(DurationNs);
-  MaxEventNsG->noteMax(static_cast<int64_t>(DurationNs));
+  Cells_.EventsRun->inc();
+  Cells_.TotalEventNs->inc(DurationNs);
+  Cells_.MaxEventNs->noteMax(static_cast<int64_t>(DurationNs));
   if (DurationNs > Prof.WatchdogLimitNs)
-    WatchdogKillsC->inc();
+    Cells_.WatchdogKills->inc();
   K.noteDispatched(W, Start, End);
-}
-
-EventLoop::Stats EventLoop::stats() const {
-  Stats S;
-  S.EventsRun = EventsRunC->value();
-  S.WatchdogKills = WatchdogKillsC->value();
-  S.MaxEventNs = static_cast<uint64_t>(MaxEventNsG->value());
-  S.TotalEventNs = TotalEventNsC->value();
-  S.MaxInputLatencyNs = static_cast<uint64_t>(MaxInputLatencyNsG->value());
-  return S;
-}
-
-void EventLoop::resetStats() {
-  EventsRunC->reset();
-  WatchdogKillsC->reset();
-  TotalEventNsC->reset();
-  MaxEventNsG->reset();
-  MaxInputLatencyNsG->reset();
 }
 
 uint64_t EventLoop::currentEventElapsedNs() const {

@@ -25,8 +25,8 @@
 /// paper's process): every subsystem above it — fs, doppiod, suspender,
 /// thread pool — allocates instruments there, and the loop restores each
 /// work item's causal span around its dispatch so span ids follow
-/// operations across async hops (see obs/span.h). The loop's own Stats
-/// struct is a registry-backed view (`loop.*` cells).
+/// operations across async hops (see obs/span.h). The loop's own event
+/// accounting lives in `loop.*` cells, read through cells().
 ///
 /// Timer ownership is typed: setTimer()/postTimer() return a TimerHandle
 /// that can cancel the pending fire even after promotion (handle cancel +
@@ -109,27 +109,26 @@ class EventLoop {
 public:
   using Event = std::function<void()>;
 
-  /// Aggregate statistics over all dispatched events. A registry-backed
-  /// view since the obs subsystem landed: stats() assembles it from the
-  /// `loop.*` cells, field-for-field what the loop used to keep privately.
-  struct Stats {
-    uint64_t EventsRun = 0;
+  /// The loop's registry cells (`loop.*`) over all dispatched events,
+  /// resolved once at construction.
+  struct Cells {
+    obs::Counter *EventsRun = nullptr;
     /// Events whose charged virtual duration exceeded the watchdog limit.
-    uint64_t WatchdogKills = 0;
-    uint64_t MaxEventNs = 0;
-    uint64_t TotalEventNs = 0;
+    obs::Counter *WatchdogKills = nullptr;
+    obs::Counter *TotalEventNs = nullptr;
+    obs::Gauge *MaxEventNs = nullptr;
     /// Worst observed delay between an input event becoming due and its
     /// dispatch. Long-running events inflate this (§3.1).
-    uint64_t MaxInputLatencyNs = 0;
+    obs::Gauge *MaxInputLatencyNs = nullptr;
   };
 
   EventLoop(VirtualClock &Clock, const Profile &P)
       : Clock(Clock), Prof(P), Reg(Clock), K(Clock, Reg),
-        EventsRunC(&Reg.counter("loop.events_run")),
-        WatchdogKillsC(&Reg.counter("loop.watchdog_kills")),
-        TotalEventNsC(&Reg.counter("loop.event_ns_total")),
-        MaxEventNsG(&Reg.gauge("loop.event_ns_max")),
-        MaxInputLatencyNsG(&Reg.gauge("loop.input_latency_ns_max")) {}
+        Cells_{&Reg.counter("loop.events_run"),
+               &Reg.counter("loop.watchdog_kills"),
+               &Reg.counter("loop.event_ns_total"),
+               &Reg.gauge("loop.event_ns_max"),
+               &Reg.gauge("loop.input_latency_ns_max")} {}
 
   /// Places \p Fn at the back of the ready queue (a macrotask). Input
   /// events go to the Input lane (dispatched ahead of everything else);
@@ -224,12 +223,8 @@ public:
   /// script (§3.1).
   bool currentEventOverLimit() const;
 
-  /// Snapshot of the loop statistics, assembled from the `loop.*` registry
-  /// cells. By-value; existing `const Stats &S = Loop.stats();` callers
-  /// keep working via temporary lifetime extension.
-  Stats stats() const;
-  /// Zeroes the loop's registry cells (other subsystems' cells survive).
-  void resetStats();
+  /// The loop's event accounting: live handles on its `loop.*` cells.
+  const Cells &cells() const { return Cells_; }
 
   const Profile &profile() const { return Prof; }
   VirtualClock &clock() { return Clock; }
@@ -244,7 +239,7 @@ public:
   const obs::Registry &metrics() const { return Reg; }
 
   /// True once any event has overrun the watchdog limit.
-  bool watchdogFired() const { return WatchdogKillsC->value() > 0; }
+  bool watchdogFired() const { return Cells_.WatchdogKills->value() > 0; }
 
 private:
   void dispatch(kernel::Kernel::Work W);
@@ -254,11 +249,7 @@ private:
   /// The registry outlives the kernel member, which holds cells in it.
   obs::Registry Reg;
   kernel::Kernel K;
-  obs::Counter *EventsRunC;
-  obs::Counter *WatchdogKillsC;
-  obs::Counter *TotalEventNsC;
-  obs::Gauge *MaxEventNsG;
-  obs::Gauge *MaxInputLatencyNsG;
+  Cells Cells_;
   int EventDepth = 0;
   uint64_t CurrentEventStartNs = 0;
 };

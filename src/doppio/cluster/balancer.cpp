@@ -60,7 +60,7 @@ Balancer::Balancer(const browser::Profile &P, Fabric &Fab, Config Cfg)
         break;
       auto Done = std::move(It->second);
       MigrationsInFlight.erase(It);
-      (D->Ok ? MigrationsC : MigrationFailuresC)->inc();
+      (D->Ok ? Cells_.Migrations : Cells_.MigrationFailures)->inc();
       if (Done) {
         MigrationResult R;
         R.SrcShard = D->SrcShard;
@@ -103,22 +103,22 @@ Balancer::~Balancer() {
 void Balancer::bindCells() {
   obs::Registry &Reg = Env.metrics();
   std::string P = Reg.claimPrefix("balancer");
-  ConnsAcceptedC = &Reg.counter(P + ".conns_accepted");
-  ConnsRefusedC = &Reg.counter(P + ".conns_refused");
-  RefusedSaturatedC = &Reg.counter(P + ".refused_saturated");
-  RoutedC = &Reg.counter(P + ".routed");
-  ReroutedC = &Reg.counter(P + ".rerouted");
-  RequestsForwardedC = &Reg.counter(P + ".requests_forwarded");
-  ResponsesReturnedC = &Reg.counter(P + ".responses_returned");
-  ErrorsSynthesizedC = &Reg.counter(P + ".errors_synthesized");
-  MetricsServedC = &Reg.counter(P + ".metrics_served");
-  DrainsC = &Reg.counter(P + ".drains");
-  KillsC = &Reg.counter(P + ".kills");
-  MigrationsC = &Reg.counter(P + ".migrations");
-  MigrationFailuresC = &Reg.counter(P + ".migration_failures");
-  LiveShardsG = &Reg.gauge(P + ".live_shards");
-  UpstreamRttNsH = &Reg.histogram(P + ".upstream_rtt_ns");
-  RouteNsH = &Reg.histogram(P + ".route_ns");
+  Cells_.ConnsAccepted = &Reg.counter(P + ".conns_accepted");
+  Cells_.ConnsRefused = &Reg.counter(P + ".conns_refused");
+  Cells_.RefusedSaturated = &Reg.counter(P + ".refused_saturated");
+  Cells_.Routed = &Reg.counter(P + ".routed");
+  Cells_.Rerouted = &Reg.counter(P + ".rerouted");
+  Cells_.RequestsForwarded = &Reg.counter(P + ".requests_forwarded");
+  Cells_.ResponsesReturned = &Reg.counter(P + ".responses_returned");
+  Cells_.ErrorsSynthesized = &Reg.counter(P + ".errors_synthesized");
+  Cells_.MetricsServed = &Reg.counter(P + ".metrics_served");
+  Cells_.Drains = &Reg.counter(P + ".drains");
+  Cells_.Kills = &Reg.counter(P + ".kills");
+  Cells_.Migrations = &Reg.counter(P + ".migrations");
+  Cells_.MigrationFailures = &Reg.counter(P + ".migration_failures");
+  Cells_.LiveShards = &Reg.gauge(P + ".live_shards");
+  Cells_.UpstreamRttNs = &Reg.histogram(P + ".upstream_rtt_ns");
+  Cells_.RouteNs = &Reg.histogram(P + ".route_ns");
 }
 
 uint64_t Balancer::nowNs() const {
@@ -144,7 +144,7 @@ void Balancer::addShard(uint32_t Id, TabId ShardTab, uint16_t ShardPort) {
   Info.Prefix = Env.metrics().claimPrefix("shard");
   Shards.emplace(Id, std::move(Info));
   Ring.add(Id);
-  LiveShardsG->set(static_cast<int64_t>(Ring.size()));
+  Cells_.LiveShards->set(static_cast<int64_t>(Ring.size()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -155,7 +155,7 @@ void Balancer::onAccept(TcpConnection &T) {
   if (Conns.size() >= Cfg.MaxConnections) {
     // Closing inside the accept path refuses the connect (SimNet's
     // backlog-overflow semantics) — the front-door cap.
-    ConnsRefusedC->inc();
+    Cells_.ConnsRefused->inc();
     T.close();
     return;
   }
@@ -164,7 +164,7 @@ void Balancer::onAccept(TcpConnection &T) {
   C->Id = Id;
   C->Client = &T;
   C->AcceptedNs = nowNs();
-  ConnsAcceptedC->inc();
+  Cells_.ConnsAccepted->inc();
   T.setOnData([this, Id](const std::vector<uint8_t> &D) {
     onClientData(Id, D);
   });
@@ -201,7 +201,7 @@ void Balancer::pumpClient(Conn &C) {
       S.Ready = true;
       S.Frame = localMetricsResponse(*Req);
       C.Slots.push_back(std::move(S));
-      MetricsServedC->inc();
+      Cells_.MetricsServed->inc();
       flushSlots(C);
       continue;
     }
@@ -227,7 +227,7 @@ void Balancer::forwardPending(Conn &C) {
         S.ForwardedNs = nowNs();
         break;
       }
-    RequestsForwardedC->inc();
+    Cells_.RequestsForwarded->inc();
     C.Upstream->send(std::move(F));
   }
 }
@@ -297,7 +297,7 @@ void Balancer::connectUpstream(Conn &C) {
   }
   // Every live candidate refused (or the ring is empty): the fleet is
   // saturated. Refuse at the front door, visibly.
-  RefusedSaturatedC->inc();
+  Cells_.RefusedSaturated->inc();
   synthesizeErrors(C, C.Candidates.empty() ? "cluster: no shards"
                                            : "cluster: all shards saturated");
   closeConn(C.Id, /*RefusedSaturatedPath=*/true);
@@ -307,8 +307,8 @@ void Balancer::bindUpstream(Conn &C, Fabric::Endpoint *Ep) {
   C.Upstream = Ep;
   C.Rerouting = false;
   C.FromShard = frame::Decoder();
-  RoutedC->inc();
-  RouteNsH->record(nowNs() - C.AcceptedNs);
+  Cells_.Routed->inc();
+  Cells_.RouteNs->record(nowNs() - C.AcceptedNs);
   uint64_t Id = C.Id;
   Ep->setOnData([this, Id](const std::vector<uint8_t> &D) {
     onUpstreamData(Id, D);
@@ -336,7 +336,7 @@ void Balancer::onUpstreamData(uint64_t Id, const std::vector<uint8_t> &Data) {
         S.Ready = true;
         S.Frame = frame::encode(*Payload);
         if (S.ForwardedNs)
-          UpstreamRttNsH->record(nowNs() - S.ForwardedNs);
+          Cells_.UpstreamRttNs->record(nowNs() - S.ForwardedNs);
         Filled = true;
         break;
       }
@@ -383,7 +383,7 @@ void Balancer::flushSlots(Conn &C) {
   while (!C.Slots.empty() && C.Slots.front().Ready) {
     if (C.Client && !C.ClientClosed) {
       C.Client->send(std::move(C.Slots.front().Frame));
-      ResponsesReturnedC->inc();
+      Cells_.ResponsesReturned->inc();
     }
     C.Slots.pop_front();
   }
@@ -414,7 +414,7 @@ void Balancer::synthesizeErrors(Conn &C, const char *Why) {
     if (!S.Local && !S.Ready && S.ForwardedNs) {
       S.Ready = true;
       S.Frame = errorFrame(Why);
-      ErrorsSynthesizedC->inc();
+      Cells_.ErrorsSynthesized->inc();
     }
 }
 
@@ -430,9 +430,9 @@ bool Balancer::drainShard(uint32_t Id,
   ShardInfo &S = It->second;
   S.Draining = true;
   S.OnDrained = std::move(Done);
-  DrainsC->inc();
+  Cells_.Drains->inc();
   Ring.remove(Id);
-  LiveShardsG->set(static_cast<int64_t>(Ring.size()));
+  Cells_.LiveShards->set(static_cast<int64_t>(Ring.size()));
   // Move every connection off the shard: each stops forwarding, finishes
   // its outstanding responses, then re-routes. Snapshot the id set —
   // reroutes mutate it.
@@ -454,10 +454,10 @@ bool Balancer::killShard(uint32_t Id) {
   ShardInfo &S = It->second;
   S.Dead = true;
   S.Draining = false;
-  KillsC->inc();
+  Cells_.Kills->inc();
   if (Ring.contains(Id)) {
     Ring.remove(Id);
-    LiveShardsG->set(static_cast<int64_t>(Ring.size()));
+    Cells_.LiveShards->set(static_cast<int64_t>(Ring.size()));
   }
   std::vector<uint64_t> ConnIds(S.Conns.begin(), S.Conns.end());
   for (uint64_t CId : ConnIds) {
@@ -493,8 +493,6 @@ bool Balancer::migrateProcess(uint32_t SrcShard, uint32_t DstShard,
   return true;
 }
 
-uint64_t Balancer::migrationsDone() const { return MigrationsC->value(); }
-
 void Balancer::beginReroute(Conn &C, bool Abrupt) {
   C.Rerouting = true; // Forwarding pauses; new requests queue.
   if (Abrupt) {
@@ -525,7 +523,7 @@ void Balancer::rerouteNow(Conn &C) {
   }
   detachFromShard(C);
   C.Rerouting = false;
-  ReroutedC->inc();
+  Cells_.Rerouted->inc();
   // Fresh candidate walk against the current ring; queued requests in
   // PendingOut flow to the new shard once it binds.
   beginWalk(C);
@@ -607,20 +605,4 @@ void Balancer::noteSnapshot(const ShardSnapshot &S) {
   Reg.gauge(P + ".procs_spawned")
       .set(static_cast<int64_t>(S.ProcsSpawned));
   Reg.gauge(P + ".zombies").set(static_cast<int64_t>(S.Zombies));
-}
-
-Balancer::Stats Balancer::stats() const {
-  Stats Out;
-  Out.ConnsAccepted = ConnsAcceptedC->value();
-  Out.ConnsRefused = ConnsRefusedC->value();
-  Out.RefusedSaturated = RefusedSaturatedC->value();
-  Out.Routed = RoutedC->value();
-  Out.Rerouted = ReroutedC->value();
-  Out.RequestsForwarded = RequestsForwardedC->value();
-  Out.ResponsesReturned = ResponsesReturnedC->value();
-  Out.ErrorsSynthesized = ErrorsSynthesizedC->value();
-  Out.MetricsServed = MetricsServedC->value();
-  Out.UpstreamRttNs = UpstreamRttNsH->samples();
-  Out.RouteNs = RouteNsH->samples();
-  return Out;
 }

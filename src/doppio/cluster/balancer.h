@@ -129,9 +129,6 @@ public:
   bool migrateProcess(uint32_t SrcShard, uint32_t DstShard, rt::proc::Pid P,
                       std::function<void(const MigrationResult &)> Done);
 
-  /// Completed migrations (registry-backed: `balancer.migrations`).
-  uint64_t migrationsDone() const;
-
   /// Mirrors \p S into this tab's registry under the shard's claimed
   /// prefix. Normally fed by the control plane; exposed for tests.
   void noteSnapshot(const ShardSnapshot &S);
@@ -145,20 +142,37 @@ public:
     return Snapshots;
   }
 
-  struct Stats {
-    uint64_t ConnsAccepted = 0;
-    uint64_t ConnsRefused = 0;       // Front-door cap.
-    uint64_t RefusedSaturated = 0;   // Every shard candidate refused.
-    uint64_t Routed = 0;             // Upstream links established.
-    uint64_t Rerouted = 0;           // Links moved off a drained/killed shard.
-    uint64_t RequestsForwarded = 0;
-    uint64_t ResponsesReturned = 0;
-    uint64_t ErrorsSynthesized = 0;  // Kill-path Status::Error fills.
-    uint64_t MetricsServed = 0;      // Served from the aggregated registry.
-    std::vector<uint64_t> UpstreamRttNs; // Forward -> response, per request.
-    std::vector<uint64_t> RouteNs;       // Accept -> upstream established.
+  /// The balancer's registry cells (`balancer.*`), resolved once at
+  /// construction.
+  struct Cells {
+    obs::Counter *ConnsAccepted = nullptr;
+    /// Front-door cap.
+    obs::Counter *ConnsRefused = nullptr;
+    /// Every shard candidate refused.
+    obs::Counter *RefusedSaturated = nullptr;
+    /// Upstream links established.
+    obs::Counter *Routed = nullptr;
+    /// Links moved off a drained/killed shard.
+    obs::Counter *Rerouted = nullptr;
+    obs::Counter *RequestsForwarded = nullptr;
+    obs::Counter *ResponsesReturned = nullptr;
+    /// Kill-path Status::Error fills.
+    obs::Counter *ErrorsSynthesized = nullptr;
+    /// Served from the aggregated registry.
+    obs::Counter *MetricsServed = nullptr;
+    obs::Counter *Drains = nullptr;
+    obs::Counter *Kills = nullptr;
+    /// Completed live migrations.
+    obs::Counter *Migrations = nullptr;
+    obs::Counter *MigrationFailures = nullptr;
+    obs::Gauge *LiveShards = nullptr;
+    /// Forward -> response, per request.
+    obs::Histogram *UpstreamRttNs = nullptr;
+    /// Accept -> upstream established.
+    obs::Histogram *RouteNs = nullptr;
   };
-  Stats stats() const;
+
+  const Cells &cells() const { return Cells_; }
 
 private:
   struct ShardInfo {
@@ -252,22 +266,7 @@ private:
       MigrationsInFlight;
   uint64_t NextMigrationId = 1;
 
-  obs::Counter *ConnsAcceptedC = nullptr;
-  obs::Counter *ConnsRefusedC = nullptr;
-  obs::Counter *RefusedSaturatedC = nullptr;
-  obs::Counter *RoutedC = nullptr;
-  obs::Counter *ReroutedC = nullptr;
-  obs::Counter *RequestsForwardedC = nullptr;
-  obs::Counter *ResponsesReturnedC = nullptr;
-  obs::Counter *ErrorsSynthesizedC = nullptr;
-  obs::Counter *MetricsServedC = nullptr;
-  obs::Counter *DrainsC = nullptr;
-  obs::Counter *KillsC = nullptr;
-  obs::Counter *MigrationsC = nullptr;
-  obs::Counter *MigrationFailuresC = nullptr;
-  obs::Gauge *LiveShardsG = nullptr;
-  obs::Histogram *UpstreamRttNsH = nullptr;
-  obs::Histogram *RouteNsH = nullptr;
+  Cells Cells_;
 };
 
 } // namespace cluster

@@ -9,15 +9,15 @@ using namespace doppio::rt;
 using namespace doppio::rt::fs;
 
 void FileSystem::bindCells() {
-  // claimPrefix: a second FileSystem on the same tab (nothing in-tree
-  // builds one today) gets "fs2.*" cells instead of corrupting ours.
+  // claimPrefix: a second FileSystem on the same tab gets "fs2.*" cells
+  // instead of corrupting ours.
   obs::Registry &Reg = Env.metrics();
   std::string P = Reg.claimPrefix("fs");
-  OpsC = &Reg.counter(P + ".ops");
-  BytesReadC = &Reg.counter(P + ".bytes_read");
-  BytesWrittenC = &Reg.counter(P + ".bytes_written");
-  UniqueFilesC = &Reg.counter(P + ".unique_files");
-  OpNsH = &Reg.histogram(P + ".op_ns");
+  Cells_.Ops = &Reg.counter(P + ".ops");
+  Cells_.BytesRead = &Reg.counter(P + ".bytes_read");
+  Cells_.BytesWritten = &Reg.counter(P + ".bytes_written");
+  Cells_.UniqueFiles = &Reg.counter(P + ".unique_files");
+  Cells_.OpNs = &Reg.histogram(P + ".op_ns");
 }
 
 void FileSystem::installChdirValidator(Process &P) {
@@ -37,24 +37,6 @@ void FileSystem::installChdirValidator(Process &P) {
       });
 }
 
-FileSystem::OpStats FileSystem::stats() const {
-  OpStats S;
-  S.Operations = OpsC->value();
-  S.BytesRead = BytesReadC->value();
-  S.BytesWritten = BytesWrittenC->value();
-  S.UniqueFilesTouched = UniqueFilesC->value();
-  return S;
-}
-
-void FileSystem::resetStats() {
-  OpsC->reset();
-  BytesReadC->reset();
-  BytesWrittenC->reset();
-  UniqueFilesC->reset();
-  OpNsH->reset();
-  Touched.clear();
-}
-
 obs::SpanId FileSystem::beginOp(const char *Name) {
   return Env.metrics().spans().begin(Name);
 }
@@ -62,12 +44,12 @@ obs::SpanId FileSystem::beginOp(const char *Name) {
 void FileSystem::endOp(obs::SpanId Op, uint64_t StartNs) {
   Env.metrics().spans().end(Op);
   uint64_t NowNs = Env.clock().nowNs();
-  OpNsH->record(NowNs > StartNs ? NowNs - StartNs : 0);
+  Cells_.OpNs->record(NowNs > StartNs ? NowNs - StartNs : 0);
 }
 
 void FileSystem::open(const std::string &P, const std::string &Mode,
                       ResultCb<FdPtr> Done) {
-  OpsC->inc();
+  Cells_.Ops->inc();
   std::optional<OpenFlags> Flags = OpenFlags::parse(Mode);
   if (!Flags) {
     Done(ApiError(Errno::Invalid, "bad open mode '" + Mode + "'"));
@@ -88,7 +70,7 @@ void FileSystem::open(const std::string &P, const std::string &Mode,
 }
 
 void FileSystem::stat(const std::string &P, ResultCb<Stats> Done) {
-  OpsC->inc();
+  Cells_.Ops->inc();
   uint64_t StartNs = Env.clock().nowNs();
   obs::SpanId Op = beginOp("fs.stat");
   obs::SpanStore::Scope Scope(Env.metrics().spans(), Op);
@@ -101,7 +83,7 @@ void FileSystem::stat(const std::string &P, ResultCb<Stats> Done) {
 
 void FileSystem::rename(const std::string &From, const std::string &To,
                         CompletionCb Done) {
-  OpsC->inc();
+  Cells_.Ops->inc();
   uint64_t StartNs = Env.clock().nowNs();
   obs::SpanId Op = beginOp("fs.rename");
   obs::SpanStore::Scope Scope(Env.metrics().spans(), Op);
@@ -114,7 +96,7 @@ void FileSystem::rename(const std::string &From, const std::string &To,
 }
 
 void FileSystem::unlink(const std::string &P, CompletionCb Done) {
-  OpsC->inc();
+  Cells_.Ops->inc();
   uint64_t StartNs = Env.clock().nowNs();
   obs::SpanId Op = beginOp("fs.unlink");
   obs::SpanStore::Scope Scope(Env.metrics().spans(), Op);
@@ -127,7 +109,7 @@ void FileSystem::unlink(const std::string &P, CompletionCb Done) {
 }
 
 void FileSystem::mkdir(const std::string &P, CompletionCb Done) {
-  OpsC->inc();
+  Cells_.Ops->inc();
   uint64_t StartNs = Env.clock().nowNs();
   obs::SpanId Op = beginOp("fs.mkdir");
   obs::SpanStore::Scope Scope(Env.metrics().spans(), Op);
@@ -140,7 +122,7 @@ void FileSystem::mkdir(const std::string &P, CompletionCb Done) {
 }
 
 void FileSystem::rmdir(const std::string &P, CompletionCb Done) {
-  OpsC->inc();
+  Cells_.Ops->inc();
   uint64_t StartNs = Env.clock().nowNs();
   obs::SpanId Op = beginOp("fs.rmdir");
   obs::SpanStore::Scope Scope(Env.metrics().spans(), Op);
@@ -154,7 +136,7 @@ void FileSystem::rmdir(const std::string &P, CompletionCb Done) {
 
 void FileSystem::readdir(const std::string &P,
                          ResultCb<std::vector<std::string>> Done) {
-  OpsC->inc();
+  Cells_.Ops->inc();
   uint64_t StartNs = Env.clock().nowNs();
   obs::SpanId Op = beginOp("fs.readdir");
   obs::SpanStore::Scope Scope(Env.metrics().spans(), Op);
@@ -196,7 +178,7 @@ void FileSystem::readFile(const std::string &P,
                    Done(RR.error());
                    return;
                  }
-                 BytesReadC->inc(*RR);
+                 Cells_.BytesRead->inc(*RR);
                  std::vector<uint8_t> Out(
                      Dst->bytes().begin(),
                      Dst->bytes().begin() + std::min(*RR, Size));
@@ -239,7 +221,7 @@ void FileSystem::writeFile(const std::string &P, std::vector<uint8_t> Data,
                        Done(WR.error());
                        return;
                      }
-                     BytesWrittenC->inc(*WR);
+                     Cells_.BytesWritten->inc(*WR);
                      Fd->close(Done);
                    });
        });
@@ -271,7 +253,7 @@ void FileSystem::appendFile(const std::string &P, std::vector<uint8_t> Data,
                        Done(WR.error());
                        return;
                      }
-                     BytesWrittenC->inc(*WR);
+                     Cells_.BytesWritten->inc(*WR);
                      Fd->close(Done);
                    });
        });

@@ -88,20 +88,16 @@ public:
   void move(const std::string &From, const std::string &To,
             CompletionCb Done);
 
-  /// Statistics used by the Figure 6 harness. A registry-backed view
-  /// since the obs subsystem landed: stats() assembles it from this
-  /// instance's `fs.*` cells, field-for-field what the frontend used to
-  /// keep privately.
-  struct OpStats {
-    uint64_t Operations = 0;
-    uint64_t BytesRead = 0;
-    uint64_t BytesWritten = 0;
-    uint64_t UniqueFilesTouched = 0;
+  /// This instance's registry cells, used by the Figure 6 harness:
+  /// `fs.*`, or `fs2.*`, `fs3.*`, ... for later FileSystems on one tab.
+  struct Cells {
+    obs::Counter *Ops = nullptr;
+    obs::Counter *BytesRead = nullptr;
+    obs::Counter *BytesWritten = nullptr;
+    obs::Counter *UniqueFiles = nullptr;
+    obs::Histogram *OpNs = nullptr;
   };
-  /// By-value snapshot; `const OpStats &S = Fs.stats();` callers keep
-  /// working via temporary lifetime extension.
-  OpStats stats() const;
-  void resetStats();
+  const Cells &cells() const { return Cells_; }
 
 private:
   std::string standardize(const std::string &P) const {
@@ -109,7 +105,7 @@ private:
   }
   void touch(const std::string &P) {
     if (Touched.insert(P).second)
-      UniqueFilesC->inc();
+      Cells_.UniqueFiles->inc();
   }
 
   /// Resolves this instance's registry cells under a claimed "fs" prefix.
@@ -123,11 +119,7 @@ private:
   browser::BrowserEnv &Env;
   Process &Proc;
   std::unique_ptr<FileSystemBackend> Root;
-  obs::Counter *OpsC = nullptr;
-  obs::Counter *BytesReadC = nullptr;
-  obs::Counter *BytesWrittenC = nullptr;
-  obs::Counter *UniqueFilesC = nullptr;
-  obs::Histogram *OpNsH = nullptr;
+  Cells Cells_;
   std::set<std::string> Touched;
 };
 

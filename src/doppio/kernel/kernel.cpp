@@ -43,7 +43,7 @@ void Kernel::bindCells() {
   std::string P = Reg.claimPrefix("kernel");
   for (size_t I = 0; I < NumLanes; ++I) {
     std::string Base = P + ".lane." + laneName(static_cast<Lane>(I)) + ".";
-    LaneCells &LC = Cells[I];
+    LaneCells &LC = Cells_.Lanes[I];
     LC.Posted = &Reg.counter(Base + "posted");
     LC.Dispatched = &Reg.counter(Base + "dispatched");
     LC.CancelledSkipped = &Reg.counter(Base + "cancelled_skipped");
@@ -52,30 +52,10 @@ void Kernel::bindCells() {
     LC.QueueDelayNsMax = &Reg.gauge(Base + "queue_delay_ns_max");
     LC.RunNsMax = &Reg.gauge(Base + "run_ns_max");
   }
-  TimersScheduledC = &Reg.counter(P + ".timer.scheduled");
-  TimersCancelledC = &Reg.counter(P + ".timer.cancelled");
-  TimersReapedC = &Reg.counter(P + ".timer.reaped");
-  HeapCompactionsC = &Reg.counter(P + ".timer.heap_compactions");
-}
-
-Counters Kernel::counters() const {
-  Counters Out;
-  for (size_t I = 0; I < NumLanes; ++I) {
-    const LaneCells &LC = Cells[I];
-    LaneCounters &O = Out.Lanes[I];
-    O.Posted = LC.Posted->value();
-    O.Dispatched = LC.Dispatched->value();
-    O.CancelledSkipped = LC.CancelledSkipped->value();
-    O.TotalQueueDelayNs = LC.QueueDelayNsTotal->value();
-    O.MaxQueueDelayNs = static_cast<uint64_t>(LC.QueueDelayNsMax->value());
-    O.TotalRunNs = LC.RunNsTotal->value();
-    O.MaxRunNs = static_cast<uint64_t>(LC.RunNsMax->value());
-  }
-  Out.TimersScheduled = TimersScheduledC->value();
-  Out.TimersCancelled = TimersCancelledC->value();
-  Out.TimersReaped = TimersReapedC->value();
-  Out.HeapCompactions = HeapCompactionsC->value();
-  return Out;
+  Cells_.TimersScheduled = &Reg.counter(P + ".timer.scheduled");
+  Cells_.TimersCancelled = &Reg.counter(P + ".timer.cancelled");
+  Cells_.TimersReaped = &Reg.counter(P + ".timer.reaped");
+  Cells_.HeapCompactions = &Reg.counter(P + ".timer.heap_compactions");
 }
 
 std::vector<TraceEntry> TraceRing::snapshot() const {
@@ -94,7 +74,7 @@ uint64_t Kernel::post(Lane L, WorkFn Fn, CancelToken Cancel) {
   uint64_t Id = NextWorkId++;
   Lanes[Idx].push_back({std::move(Fn), Id, Clock.nowNs(), std::move(Cancel),
                         Reg.spans().current()});
-  Cells[Idx].Posted->inc();
+  Cells_.Lanes[Idx].Posted->inc();
   return Id;
 }
 
@@ -126,8 +106,8 @@ uint64_t Kernel::postAfter(Lane L, WorkFn Fn, uint64_t DelayNs,
   uint64_t Handle = Rec->Handle;
   LiveTimers.emplace(Handle, Rec.get());
   heapPush(std::move(Rec));
-  TimersScheduledC->inc();
-  Cells[static_cast<size_t>(L)].Posted->inc();
+  Cells_.TimersScheduled->inc();
+  Cells_.Lanes[static_cast<size_t>(L)].Posted->inc();
   return Handle;
 }
 
@@ -139,7 +119,7 @@ bool Kernel::cancelTimer(uint64_t Handle) {
   It->second->Fn = nullptr; // Drop captured state eagerly.
   LiveTimers.erase(It);
   ++CancelledInHeap;
-  TimersCancelledC->inc();
+  Cells_.TimersCancelled->inc();
   compactIfNeeded();
   return true;
 }
@@ -169,7 +149,7 @@ void Kernel::dropCancelledTop() {
   while (!Heap.empty() && Heap.front()->Cancelled) {
     heapPop();
     --CancelledInHeap;
-    TimersReapedC->inc();
+    Cells_.TimersReaped->inc();
   }
 }
 
@@ -196,8 +176,8 @@ void Kernel::compactIfNeeded() {
   // heap without bound. Rebuild once cancelled entries dominate.
   if (Heap.size() < 64 || CancelledInHeap * 2 <= Heap.size())
     return;
-  TimersReapedC->inc(CancelledInHeap);
-  HeapCompactionsC->inc();
+  Cells_.TimersReaped->inc(CancelledInHeap);
+  Cells_.HeapCompactions->inc();
   std::erase_if(Heap, [](const std::unique_ptr<TimerRec> &Rec) {
     return Rec->Cancelled;
   });
@@ -217,7 +197,7 @@ std::optional<Kernel::Work> Kernel::next(std::optional<uint64_t> HorizonNs) {
       Q.pop_front();
       Popped = true;
       if (Item.Cancel.cancelled()) {
-        Cells[Idx].CancelledSkipped->inc();
+        Cells_.Lanes[Idx].CancelledSkipped->inc();
         break; // Re-promote and re-scan from the top lane.
       }
       return Work{std::move(Item.Fn), static_cast<Lane>(Idx), Item.Id,
@@ -255,7 +235,7 @@ void Kernel::noteDispatched(const Work &W, uint64_t StartNs,
   assert(EndNs >= StartNs);
   uint64_t QueueDelayNs = StartNs > W.ReadyNs ? StartNs - W.ReadyNs : 0;
   uint64_t RunNs = EndNs - StartNs;
-  const LaneCells &LC = Cells[static_cast<size_t>(W.L)];
+  const LaneCells &LC = Cells_.Lanes[static_cast<size_t>(W.L)];
   LC.Dispatched->inc();
   LC.QueueDelayNsTotal->inc(QueueDelayNs);
   LC.QueueDelayNsMax->noteMax(static_cast<int64_t>(QueueDelayNs));

@@ -174,38 +174,16 @@ private:
   uint64_t Total = 0;
 };
 
-/// Aggregate dispatch statistics for one lane.
-struct LaneCounters {
-  uint64_t Posted = 0;
-  uint64_t Dispatched = 0;
+/// Registry cells of one dispatch lane (`kernel.lane.<lane>.*`).
+struct LaneCells {
+  obs::Counter *Posted = nullptr;
+  obs::Counter *Dispatched = nullptr;
   /// Items skipped because their CancelToken fired before dispatch.
-  uint64_t CancelledSkipped = 0;
-  uint64_t TotalQueueDelayNs = 0;
-  uint64_t MaxQueueDelayNs = 0;
-  uint64_t TotalRunNs = 0;
-  uint64_t MaxRunNs = 0;
-};
-
-/// Exported kernel counters (per lane + timer machinery). Since the obs
-/// registry landed this is a *view*: counters() assembles it on demand
-/// from registry cells (`kernel.lane.<lane>.*`, `kernel.timer.*`), shape
-/// and values identical to when the kernel kept a private struct.
-struct Counters {
-  LaneCounters Lanes[NumLanes];
-  uint64_t TimersScheduled = 0;
-  /// Successful cancelTimer() calls.
-  uint64_t TimersCancelled = 0;
-  /// Cancelled heap entries discarded before firing (on promotion, top
-  /// cleanup, or compaction).
-  uint64_t TimersReaped = 0;
-  uint64_t HeapCompactions = 0;
-
-  uint64_t totalDispatched() const {
-    uint64_t N = 0;
-    for (const LaneCounters &LC : Lanes)
-      N += LC.Dispatched;
-    return N;
-  }
+  obs::Counter *CancelledSkipped = nullptr;
+  obs::Counter *QueueDelayNsTotal = nullptr;
+  obs::Counter *RunNsTotal = nullptr;
+  obs::Gauge *QueueDelayNsMax = nullptr;
+  obs::Gauge *RunNsMax = nullptr;
 };
 
 /// The unified scheduler. Single-threaded over the virtual clock; drained
@@ -299,11 +277,23 @@ public:
   /// cancelled items).
   size_t queuedWork() const;
 
-  /// Snapshot of the kernel counters, assembled from registry cells.
-  /// Shape-compatible with the former by-reference accessor: callers that
-  /// bound `const Counters &C = K.counters();` keep working via temporary
-  /// lifetime extension.
-  Counters counters() const;
+  /// The kernel's registry cells (`kernel.lane.<lane>.*`,
+  /// `kernel.timer.*`), resolved once at construction so the hot path
+  /// stays a pointer increment.
+  struct Cells {
+    LaneCells Lanes[NumLanes];
+    obs::Counter *TimersScheduled = nullptr;
+    /// Successful cancelTimer() calls.
+    obs::Counter *TimersCancelled = nullptr;
+    /// Cancelled heap entries discarded before firing (on promotion, top
+    /// cleanup, or compaction).
+    obs::Counter *TimersReaped = nullptr;
+    obs::Counter *HeapCompactions = nullptr;
+  };
+  const Cells &cells() const { return Cells_; }
+  const LaneCells &lane(Lane L) const {
+    return Cells_.Lanes[static_cast<size_t>(L)];
+  }
   const TraceRing &trace() const { return Trace; }
 
   /// The metrics registry this kernel reports into (owned or shared).
@@ -328,18 +318,6 @@ private:
     CancelToken Cancel;
     bool Cancelled = false;
     obs::SpanId Span = 0;
-  };
-
-  /// Per-lane registry cells, resolved once at construction so the hot
-  /// path stays a pointer increment.
-  struct LaneCells {
-    obs::Counter *Posted = nullptr;
-    obs::Counter *Dispatched = nullptr;
-    obs::Counter *CancelledSkipped = nullptr;
-    obs::Counter *QueueDelayNsTotal = nullptr;
-    obs::Counter *RunNsTotal = nullptr;
-    obs::Gauge *QueueDelayNsMax = nullptr;
-    obs::Gauge *RunNsMax = nullptr;
   };
 
   /// Resolves every lane/timer cell in the registry under a claimed
@@ -372,11 +350,7 @@ private:
   uint64_t NextSeq = 0;
   uint64_t NextHandle = 1;
   uint64_t NextWorkId = 1;
-  LaneCells Cells[NumLanes];
-  obs::Counter *TimersScheduledC = nullptr;
-  obs::Counter *TimersCancelledC = nullptr;
-  obs::Counter *TimersReapedC = nullptr;
-  obs::Counter *HeapCompactionsC = nullptr;
+  Cells Cells_;
   TraceRing Trace;
 };
 

@@ -7,11 +7,10 @@
 /// \file
 /// The three instrument kinds every stats producer in the system shares:
 /// monotonically increasing counters, settable gauges (with a high-water
-/// helper), and fixed-bucket latency histograms. Before this module the
-/// repo had four disconnected stat mechanisms (kernel LaneCounters, the
-/// event loop's Stats, server::ServerStats with its own percentile math,
-/// fs::OpStats) — "Not So Fast" (PAPERS.md) argues credible perf claims
-/// need uniform instrumentation, and these are the uniform pieces.
+/// helper), and fixed-bucket latency histograms. "Not So Fast"
+/// (PAPERS.md) argues credible perf claims need uniform instrumentation,
+/// and these are the uniform pieces: every producer's counters are cells
+/// of these three kinds.
 ///
 /// Everything here is single-threaded over the virtual clock, like the
 /// rest of the simulated browser: plain integers, no atomics. Instruments
@@ -37,7 +36,7 @@ namespace obs {
 
 /// Nearest-rank percentile over \p Samples (0 when empty). \p Pct in
 /// [0, 100]. This is the single percentile implementation in the repo;
-/// Histogram::percentile and every stats view build on it.
+/// Histogram::percentile and server::ServerStats build on it.
 uint64_t percentileNs(const std::vector<uint64_t> &Samples, double Pct);
 
 /// A monotonically increasing count.

@@ -9,11 +9,11 @@
 /// process), owned by the event loop and shared by every subsystem above
 /// it: kernel lanes, the loop's own event accounting, the fs frontend,
 /// doppiod, the suspender, and the green-thread pool all allocate their
-/// instruments here and keep nothing of their own. The legacy stat
-/// surfaces (EventLoop::Stats, kernel::Counters, server::ServerStats,
-/// fs::OpStats) survive as *views*: structs assembled on demand from
-/// registry cells, field-for-field identical to what they reported when
-/// each subsystem kept private counters.
+/// instruments here and keep nothing of their own. Producers hand readers
+/// the cell pointers they resolved (EventLoop::cells(), Kernel::cells(),
+/// FileSystem::cells(), Balancer::cells()); only server::ServerStats and
+/// storage::CacheStats remain as assembled structs, because they merge
+/// cells with live state.
 ///
 /// Naming scheme (see DESIGN.md §13): dot-separated
 /// `<subsystem>.<object>.<metric>`, ns-valued metrics suffixed `_ns`
@@ -25,8 +25,8 @@
 /// Instance prefixes: a producer that can plausibly exist twice on one
 /// loop (a Server, a FileSystem) claims its prefix — the first claimant
 /// gets the clean name ("server"), later ones get "server2", "server3" —
-/// so concurrent instances never share cells and every legacy view stays
-/// exact.
+/// so concurrent instances never share cells and each instance's handles
+/// stay exact.
 ///
 //===----------------------------------------------------------------------===//
 

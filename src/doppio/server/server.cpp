@@ -21,8 +21,8 @@ Server::Server(browser::BrowserEnv &Env, Config Cfg)
 
 void Server::bindCells() {
   // claimPrefix: sequential or concurrent servers on one tab (the tests
-  // build both) get distinct cell sets, so each instance's stats() view
-  // stays exact.
+  // build both) get distinct cell sets, so each instance's stats() stays
+  // exact.
   obs::Registry &Reg = Env.metrics();
   std::string P = Reg.claimPrefix("server");
   AcceptedC = &Reg.counter(P + ".accepted");

@@ -10,10 +10,11 @@
 /// and per-request service-time samples on the virtual clock from which the
 /// fig7 harness reports p50/p99 tail latency.
 ///
-/// Since the obs subsystem landed this is a *view*: Server::stats()
-/// assembles it from the server's registry cells (`server.*`), and the
-/// percentile math lives in obs::percentileNs — the one copy the whole
-/// repo shares (the duplicate that used to live here is gone).
+/// Server::stats() assembles it from the server's registry cells
+/// (`server.*`) plus the socket's live refusal count, which is why this
+/// view survives where the loop, kernel, fs and balancer expose their
+/// cells directly. The percentile math lives in obs::percentileNs, the
+/// one copy the whole repo shares.
 ///
 //===----------------------------------------------------------------------===//
 

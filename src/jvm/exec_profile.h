@@ -8,14 +8,10 @@
 /// One struct for every knob that changes *how* the interpreter executes
 /// without changing *what* it computes: verifier-trusted check elision
 /// (DESIGN.md §12), suspend-check placement (§17), and constant-pool
-/// quickening with field inline caches (§18). Before this existed the
-/// knobs were scattered — `JvmOptions::TrustVerifier`, a
-/// `DOPPIO_JVM_TRUST_VERIFIER` env var parsed in the Jvm constructor, a
-/// `DOPPIO_JVM_SUSPEND_PLACEMENT` env var parsed next to it — and each
-/// new optimization would have added another. ExecProfile collapses them
-/// behind one parser (presets + key=value overrides, shared by env and
-/// CLI) and four named presets that the benches, tests, and tools refer
-/// to by name.
+/// quickening with field inline caches (§18). One parser (presets +
+/// key=value overrides, shared by the DOPPIO_JVM_PROFILE env var and
+/// every CLI) and four named presets that the benches, tests, and tools
+/// refer to by name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,11 +79,9 @@ struct ExecProfile {
   static bool parse(const std::string &Spec, ExecProfile &Out,
                     std::string *Err = nullptr);
 
-  /// Applies environment overrides, strongest last: DOPPIO_JVM_PROFILE
-  /// (full parse() spec), then the legacy single-knob variables
-  /// DOPPIO_JVM_TRUST_VERIFIER ("0"/"1") and
-  /// DOPPIO_JVM_SUSPEND_PLACEMENT ("call"/"everywhere"/"placed"), kept
-  /// for back-compat. Called once at Jvm construction.
+  /// Applies the DOPPIO_JVM_PROFILE environment override (a full
+  /// parse() spec, e.g. "trust=0" or "suspend=placed"). Called once at
+  /// Jvm construction.
   void applyEnv();
 
   /// "verified(trust=1, suspend=call, quicken=0, ic=0)" — for tools

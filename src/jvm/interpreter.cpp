@@ -176,7 +176,7 @@ void JvmThread::pushEntryFrame(Method *M, std::vector<Value> Args) {
   }
   F.Locals.resize(M->Code.MaxLocals);
   F.Stack.reserve(M->Code.MaxStack);
-  F.Trusted = M->Verified && Vm.trustVerifier();
+  F.Trusted = M->Verified && Vm.profile().TrustVerifier;
   configureSuspendChecks(F);
   CallStack.push_back(std::move(F));
 }
@@ -284,7 +284,7 @@ bool JvmThread::wantsSuspend() {
 }
 
 void JvmThread::configureSuspendChecks(Frame &F) {
-  switch (Vm.suspendCheckMode()) {
+  switch (Vm.profile().SuspendChecks) {
   case SuspendCheckMode::CallBoundary:
     break; // Legacy §6.1 behavior: boundaries only, branches free.
   case SuspendCheckMode::Everywhere:
@@ -422,7 +422,7 @@ bool JvmThread::ensureInitialized(Klass *K, StepResult &Out) {
   F.Locals.resize(Clinit->Code.MaxLocals);
   F.Stack.reserve(Clinit->Code.MaxStack);
   F.ClinitOf = Top;
-  F.Trusted = Clinit->Verified && Vm.trustVerifier();
+  F.Trusted = Clinit->Verified && Vm.profile().TrustVerifier;
   configureSuspendChecks(F);
   CallStack.push_back(std::move(F));
   ++Vm.stats().MethodInvocations;
@@ -430,7 +430,7 @@ bool JvmThread::ensureInitialized(Klass *K, StepResult &Out) {
   // A <clinit> push is a method-entry boundary like any invoke; outside
   // the legacy CallBoundary mode it closes the caller's span so the
   // bound proof holds across static initialization (DESIGN.md §17).
-  if (Vm.suspendCheckMode() != SuspendCheckMode::CallBoundary &&
+  if (Vm.profile().SuspendChecks != SuspendCheckMode::CallBoundary &&
       wantsSuspend())
     Out = StepResult::Yield;
   return false; // After <clinit> returns.
@@ -549,7 +549,7 @@ JvmThread::StepResult JvmThread::invokeMethod(Method *M, bool HasReceiver,
   F.Locals = std::move(Slots);
   F.Locals.resize(M->Code.MaxLocals);
   F.Stack.reserve(M->Code.MaxStack);
-  F.Trusted = M->Verified && Vm.trustVerifier();
+  F.Trusted = M->Verified && Vm.profile().TrustVerifier;
   configureSuspendChecks(F);
   if (M->isSynchronized()) {
     Object *Lock = HasReceiver ? F.Locals[0].R : Vm.mirrorOf(M->Owner);
@@ -1081,18 +1081,11 @@ bool JvmThread::guardedPrecheck(Frame &F, StepResult &Out) {
   return true;
 }
 
-// Dispatch-label macro (DESIGN.md §18). Under DOPPIO_COMPUTED_GOTO
-// (selected at configure time on GCC/Clang) every handler is a
-// labels-as-values target and dispatch is one indexed indirect jump;
-// otherwise the handlers are cases of a portable switch. Handler bodies
-// are identical in both modes.
-#ifdef DOPPIO_COMPUTED_GOTO
+// Dispatch-label macros (DESIGN.md §18): every handler is a
+// labels-as-values target (the GCC/Clang extension; configuring with any
+// other compiler fails) and dispatch is one indexed indirect jump.
 #define OPC(name) Lbl_##name:
 #define OPC_ILLEGAL Lbl_Illegal:
-#else
-#define OPC(name) case Op::name:
-#define OPC_ILLEGAL default:
-#endif
 
 JvmThread::StepResult JvmThread::step() {
   Frame &F = CallStack.back();
@@ -1133,10 +1126,9 @@ JvmThread::StepResult JvmThread::step() {
     return &F.M->Owner->quickEntry(Idx);
   };
 
-#ifdef DOPPIO_COMPUTED_GOTO
   // Threaded dispatch: the handler-address table, built once from
   // opcodes.def (C++ lacks designated initializers for label addresses).
-  // Gaps point at the illegal handler, exactly like the switch default.
+  // Gaps point at the illegal handler.
   static const void *DispatchTable[256];
   static bool TableReady = false;
   if (!TableReady) {
@@ -1152,9 +1144,6 @@ JvmThread::StepResult JvmThread::step() {
     TableReady = true;
   }
   goto *DispatchTable[static_cast<uint8_t>(O)];
-#else
-  switch (O) {
-#endif
   OPC(Nop)
     ++F.Pc;
     return StepResult::Continue;
@@ -2537,9 +2526,6 @@ JvmThread::StepResult JvmThread::step() {
   OPC_ILLEGAL
     return throwJvm("java/lang/ClassFormatError",
                     "illegal opcode " + std::to_string(C[F.Pc]));
-#ifndef DOPPIO_COMPUTED_GOTO
-  }
-#endif
 }
 
 #undef OPC

@@ -96,7 +96,7 @@ TEST(EventLoop, WatchdogFlagsLongEvents) {
       [&] { Env.clock().chargeNs(Env.profile().WatchdogLimitNs + 1); });
   Env.loop().run();
   EXPECT_TRUE(Env.loop().watchdogFired());
-  EXPECT_EQ(Env.loop().stats().WatchdogKills, 1u);
+  EXPECT_EQ(Env.loop().cells().WatchdogKills->value(), 1u);
 }
 
 TEST(EventLoop, ShortEventsDoNotTripWatchdog) {
@@ -105,7 +105,7 @@ TEST(EventLoop, ShortEventsDoNotTripWatchdog) {
     Env.loop().enqueueTask([&] { Env.clock().chargeNs(msToNs(10)); });
   Env.loop().run();
   EXPECT_FALSE(Env.loop().watchdogFired());
-  EXPECT_EQ(Env.loop().stats().EventsRun, 100u);
+  EXPECT_EQ(Env.loop().cells().EventsRun->value(), 100u);
 }
 
 TEST(EventLoop, CurrentEventOverLimitIsVisibleToCooperativeCode) {
@@ -128,7 +128,7 @@ TEST(EventLoop, InputLatencyMeasuresQueuingDelay) {
   Env.loop().setTimeout([] {}, msToNs(10), EventKind::Input);
   Env.loop().enqueueTask([&] { Env.clock().chargeNs(msToNs(100)); });
   Env.loop().run();
-  EXPECT_GE(Env.loop().stats().MaxInputLatencyNs, msToNs(89));
+  EXPECT_GE(Env.loop().cells().MaxInputLatencyNs->value(), msToNs(89));
 }
 
 TEST(EventLoop, IdleInputIsDispatchedPromptly) {
@@ -137,7 +137,7 @@ TEST(EventLoop, IdleInputIsDispatchedPromptly) {
     Env.loop().setTimeout([&] { Env.clock().chargeNs(usToNs(100)); },
                           msToNs(10 * I), EventKind::Input);
   Env.loop().run();
-  EXPECT_LE(Env.loop().stats().MaxInputLatencyNs, usToNs(500));
+  EXPECT_LE(Env.loop().cells().MaxInputLatencyNs->value(), usToNs(500));
 }
 
 TEST(MessageChannel, DeliversAsEventOnModernBrowsers) {

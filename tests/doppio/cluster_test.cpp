@@ -245,14 +245,14 @@ TEST(Cluster, EndToEndRequestsAndMetricsInterception) {
   EXPECT_EQ(Responses[2].S, rt::server::frame::Status::Ok);
   EXPECT_EQ(Responses[2].Body.size(), seedSize(3));
 
-  Balancer::Stats St = Cl.balancer().stats();
-  EXPECT_EQ(St.ConnsAccepted, 1u);
-  EXPECT_EQ(St.MetricsServed, 1u);
-  EXPECT_EQ(St.RequestsForwarded, 2u);
-  EXPECT_EQ(St.ResponsesReturned, 3u);
-  EXPECT_EQ(St.ErrorsSynthesized, 0u);
-  EXPECT_FALSE(St.UpstreamRttNs.empty());
-  EXPECT_FALSE(St.RouteNs.empty());
+  const Balancer::Cells &St = Cl.balancer().cells();
+  EXPECT_EQ(St.ConnsAccepted->value(), 1u);
+  EXPECT_EQ(St.MetricsServed->value(), 1u);
+  EXPECT_EQ(St.RequestsForwarded->value(), 2u);
+  EXPECT_EQ(St.ResponsesReturned->value(), 3u);
+  EXPECT_EQ(St.ErrorsSynthesized->value(), 0u);
+  EXPECT_GT(St.UpstreamRttNs->count(), 0u);
+  EXPECT_GT(St.RouteNs->count(), 0u);
 
   // The per-shard proc workers (echo | wc pipelines) ran to completion
   // inside each shard tab during the same lockstep run.
@@ -448,9 +448,9 @@ TEST(Cluster, DrainUnderLoadLosesNothingAndLeavesNoPendingWork) {
   EXPECT_FALSE(Cl.shardPendingWorkNs(Victim).has_value());
   EXPECT_TRUE(Cl.fabric().quiescent());
 
-  Balancer::Stats St = Cl.balancer().stats();
-  EXPECT_EQ(St.ErrorsSynthesized, 0u);
-  EXPECT_GT(St.Rerouted, 0u);
+  const Balancer::Cells &St = Cl.balancer().cells();
+  EXPECT_EQ(St.ErrorsSynthesized->value(), 0u);
+  EXPECT_GT(St.Rerouted->value(), 0u);
 }
 
 TEST(Cluster, KillSynthesizesErrorsAndReroutes) {
@@ -504,10 +504,10 @@ TEST(Cluster, KillSynthesizesErrorsAndReroutes) {
   // came back as synthesized errors, in order.
   EXPECT_EQ(Ok + Errors, static_cast<uint64_t>(NumClients) * Requests);
   EXPECT_GT(VictimActive, 0u) << "kill landed after the load finished";
-  Balancer::Stats St = Cl.balancer().stats();
-  EXPECT_EQ(Errors, St.ErrorsSynthesized);
-  EXPECT_GT(St.ErrorsSynthesized, 0u);
-  EXPECT_GT(St.Rerouted, 0u);
+  const Balancer::Cells &St = Cl.balancer().cells();
+  EXPECT_EQ(Errors, St.ErrorsSynthesized->value());
+  EXPECT_GT(St.ErrorsSynthesized->value(), 0u);
+  EXPECT_GT(St.Rerouted->value(), 0u);
 
   // The killed shard tore down cleanly: final snapshot reported, no
   // pending kernel work, ring shrunk.
@@ -552,7 +552,7 @@ TEST(Cluster, SaturatedFleetRefusesVisibly) {
   Drv.run(1000000);
   ASSERT_TRUE(R2.has_value());
   EXPECT_EQ(R2->S, rt::server::frame::Status::Error);
-  EXPECT_EQ(Cl.balancer().stats().RefusedSaturated, 1u);
+  EXPECT_EQ(Cl.balancer().cells().RefusedSaturated->value(), 1u);
 }
 
 TEST(Cluster, FrontDoorCapRefuses) {
@@ -576,7 +576,7 @@ TEST(Cluster, FrontDoorCapRefuses) {
   Drv.run(1000000);
   ASSERT_TRUE(C2Connected.has_value());
   EXPECT_FALSE(*C2Connected);
-  EXPECT_EQ(Cl.balancer().stats().ConnsRefused, 1u);
+  EXPECT_EQ(Cl.balancer().cells().ConnsRefused->value(), 1u);
 }
 
 TEST(Cluster, EmptyRingRefusesAsSaturated) {
@@ -603,7 +603,7 @@ TEST(Cluster, EmptyRingRefusesAsSaturated) {
   Drv.run(1000000);
   ASSERT_TRUE(Connected.has_value());
   EXPECT_FALSE(*Connected);
-  EXPECT_EQ(Cl.balancer().stats().RefusedSaturated, 1u);
+  EXPECT_EQ(Cl.balancer().cells().RefusedSaturated->value(), 1u);
 }
 
 TEST(Cluster, LiveSpawnTakesNewConnections) {
@@ -772,7 +772,7 @@ TEST(Cluster, LiveMigrationMovesARunningJvmGuest) {
   EXPECT_GT(MR.BlobBytes, 0u);
   EXPECT_GT(MR.CaptureUs, 0u);
   EXPECT_GT(MR.RestoreUs, 0u);
-  EXPECT_EQ(Cl.balancer().migrationsDone(), 1u);
+  EXPECT_EQ(Cl.balancer().cells().Migrations->value(), 1u);
 
   // The local copy died at the checkpoint instant, by signal; its stdout
   // froze there (reaped records stay addressable).
@@ -860,7 +860,7 @@ TEST(Cluster, MigrationRetryCapGivesUpOnNonQuiescentGuest) {
   EXPECT_NE(MR.Error.find("not quiescent"), std::string::npos) << MR.Error;
   EXPECT_EQ(
       Src->env().metrics().counter("cluster.migrate_retries").value(), 5u);
-  EXPECT_EQ(Cl.balancer().migrationsDone(), 0u);
+  EXPECT_EQ(Cl.balancer().cells().Migrations->value(), 0u);
 
   // The guest was untouched by the failed attempt: it woke on the source
   // shard, printed its second line, and exited normally.
@@ -896,7 +896,7 @@ TEST(Cluster, MigrationFailuresReportCleanly) {
   ASSERT_TRUE(HaveResult);
   EXPECT_FALSE(MR.Ok);
   EXPECT_NE(MR.Error.find("ESRCH"), std::string::npos) << MR.Error;
-  EXPECT_EQ(Cl.balancer().migrationsDone(), 0u);
+  EXPECT_EQ(Cl.balancer().cells().Migrations->value(), 0u);
   EXPECT_EQ(
       Cl.balancer().env().metrics().counter("balancer.migration_failures")
           .value(),

@@ -621,10 +621,56 @@ TEST_F(FrontendTest, StatsTrackTraffic) {
   Env.loop().run();
   Fs.readFile("/a", [](ErrorOr<std::vector<uint8_t>>) {});
   Env.loop().run();
-  EXPECT_EQ(Fs.stats().BytesWritten, 5u);
-  EXPECT_EQ(Fs.stats().BytesRead, 5u);
-  EXPECT_GE(Fs.stats().Operations, 2u);
-  EXPECT_EQ(Fs.stats().UniqueFilesTouched, 1u);
+  EXPECT_EQ(Fs.cells().BytesWritten->value(), 5u);
+  EXPECT_EQ(Fs.cells().BytesRead->value(), 5u);
+  EXPECT_GE(Fs.cells().Ops->value(), 2u);
+  EXPECT_EQ(Fs.cells().UniqueFiles->value(), 1u);
+}
+
+TEST_F(FrontendTest, TwoFileSystemsOnOneTabCountOnlyTheirOwnTraffic) {
+  // claimPrefix hands the second FileSystem on the tab the "fs2.*" cells,
+  // so each instance's handles count exactly its own traffic.
+  Process Proc2;
+  FileSystem Fs2(Env, Proc2, std::make_unique<InMemoryBackend>(Env));
+  obs::Registry &Reg = Env.metrics();
+  EXPECT_EQ(Fs.cells().BytesRead, &Reg.counter("fs.bytes_read"));
+  EXPECT_EQ(Fs2.cells().Ops, &Reg.counter("fs2.ops"));
+  EXPECT_EQ(Fs2.cells().BytesRead, &Reg.counter("fs2.bytes_read"));
+  EXPECT_EQ(Fs2.cells().BytesWritten, &Reg.counter("fs2.bytes_written"));
+  EXPECT_EQ(Fs2.cells().UniqueFiles, &Reg.counter("fs2.unique_files"));
+  EXPECT_EQ(Fs2.cells().OpNs, &Reg.histogram("fs2.op_ns"));
+
+  auto Ignore = [](std::optional<ApiError>) {};
+  auto IgnoreData = [](ErrorOr<std::vector<uint8_t>>) {};
+  Fs.writeFile("/a", bytesOf("12345"), Ignore);
+  Env.loop().run();
+  Fs.readFile("/a", IgnoreData);
+  Env.loop().run();
+  const FileSystem::Cells &One = Fs.cells();
+  uint64_t OneOps = One.Ops->value();
+  uint64_t OneTimed = One.OpNs->count();
+  EXPECT_GE(OneOps, 2u);
+  EXPECT_EQ(Fs2.cells().Ops->value(), 0u);
+  EXPECT_EQ(Fs2.cells().OpNs->count(), 0u);
+
+  Fs2.writeFile("/b", bytesOf("1234567"), Ignore);
+  Fs2.writeFile("/c", bytesOf("xy"), Ignore);
+  Env.loop().run();
+  Fs2.readFile("/b", IgnoreData);
+  Env.loop().run();
+  const FileSystem::Cells &Two = Fs2.cells();
+  EXPECT_EQ(Two.BytesWritten->value(), 9u);
+  EXPECT_EQ(Two.BytesRead->value(), 7u);
+  EXPECT_EQ(Two.UniqueFiles->value(), 2u);
+  EXPECT_GE(Two.Ops->value(), 3u);
+  EXPECT_GT(Two.OpNs->count(), 0u);
+
+  // The first instance saw none of the second one's traffic.
+  EXPECT_EQ(One.BytesWritten->value(), 5u);
+  EXPECT_EQ(One.BytesRead->value(), 5u);
+  EXPECT_EQ(One.UniqueFiles->value(), 1u);
+  EXPECT_EQ(One.Ops->value(), OneOps);
+  EXPECT_EQ(One.OpNs->count(), OneTimed);
 }
 
 } // namespace

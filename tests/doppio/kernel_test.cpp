@@ -31,6 +31,14 @@ void drain(Kernel &K, browser::VirtualClock &Clock) {
   }
 }
 
+/// Dispatches across every lane, summed from the lane cells.
+uint64_t totalDispatched(const Kernel &K) {
+  uint64_t N = 0;
+  for (const LaneCells &L : K.cells().Lanes)
+    N += L.Dispatched->value();
+  return N;
+}
+
 TEST(Kernel, LanesDrainInStrictPriorityOrder) {
   browser::VirtualClock Clock;
   Kernel K(Clock);
@@ -103,8 +111,8 @@ TEST(Kernel, CancelledTokenWorkNeverRuns) {
   drain(K, Clock);
   EXPECT_FALSE(CancelledRan);
   EXPECT_TRUE(PlainRan);
-  EXPECT_EQ(K.counters().Lanes[size_t(Lane::Resume)].CancelledSkipped, 1u);
-  EXPECT_EQ(K.counters().Lanes[size_t(Lane::Resume)].Dispatched, 1u);
+  EXPECT_EQ(K.lane(Lane::Resume).CancelledSkipped->value(), 1u);
+  EXPECT_EQ(K.lane(Lane::Resume).Dispatched->value(), 1u);
 }
 
 TEST(Kernel, CancelTokenCoversTimers) {
@@ -131,7 +139,7 @@ TEST(Kernel, CancelTimerByHandle) {
   EXPECT_FALSE(K.cancelTimer(9999)) << "unknown handle is a no-op";
   drain(K, Clock);
   EXPECT_FALSE(Ran);
-  EXPECT_EQ(K.counters().TimersCancelled, 1u);
+  EXPECT_EQ(K.cells().TimersCancelled->value(), 1u);
 }
 
 TEST(Kernel, CancelledEntriesDoNotAccumulate) {
@@ -151,7 +159,7 @@ TEST(Kernel, CancelledEntriesDoNotAccumulate) {
   EXPECT_EQ(K.pendingTimers(), 0u);
   EXPECT_LT(K.cancelledTimers(), 64u)
       << "lazy deletion must be bounded by compaction";
-  EXPECT_GE(K.counters().HeapCompactions, 1u);
+  EXPECT_GE(K.cells().HeapCompactions->value(), 1u);
   EXPECT_TRUE(K.idle());
   // And the loop terminates immediately: no spinning over dead timers.
   EXPECT_FALSE(K.next().has_value());
@@ -213,7 +221,7 @@ TEST(Kernel, TraceRingRetainsLast4096Dispatches) {
   // Oldest-first, contiguous, ending at the final dispatch.
   for (size_t I = 0; I + 1 < Snap.size(); ++I)
     EXPECT_EQ(Snap[I].Id + 1, Snap[I + 1].Id);
-  EXPECT_EQ(Snap.back().Id, K.counters().totalDispatched());
+  EXPECT_EQ(Snap.back().Id, totalDispatched(K));
 }
 
 TEST(Kernel, CountersAggregatePerLane) {
@@ -223,16 +231,15 @@ TEST(Kernel, CountersAggregatePerLane) {
   K.post(Lane::Input, [&] { Clock.chargeNs(browser::usToNs(300)); });
   K.postAfter(Lane::Timer, [] {}, browser::msToNs(1));
   drain(K, Clock);
-  const Counters &C = K.counters();
-  EXPECT_EQ(C.Lanes[size_t(Lane::Input)].Posted, 2u);
-  EXPECT_EQ(C.Lanes[size_t(Lane::Input)].Dispatched, 2u);
-  EXPECT_EQ(C.Lanes[size_t(Lane::Input)].TotalRunNs, browser::usToNs(400));
-  EXPECT_EQ(C.Lanes[size_t(Lane::Input)].MaxRunNs, browser::usToNs(300));
-  EXPECT_EQ(C.Lanes[size_t(Lane::Input)].MaxQueueDelayNs,
-            browser::usToNs(100));
-  EXPECT_EQ(C.Lanes[size_t(Lane::Timer)].Posted, 1u);
-  EXPECT_EQ(C.TimersScheduled, 1u);
-  EXPECT_EQ(C.totalDispatched(), 3u);
+  const LaneCells &In = K.lane(Lane::Input);
+  EXPECT_EQ(In.Posted->value(), 2u);
+  EXPECT_EQ(In.Dispatched->value(), 2u);
+  EXPECT_EQ(In.RunNsTotal->value(), browser::usToNs(400));
+  EXPECT_EQ(In.RunNsMax->value(), int64_t(browser::usToNs(300)));
+  EXPECT_EQ(In.QueueDelayNsMax->value(), int64_t(browser::usToNs(100)));
+  EXPECT_EQ(K.lane(Lane::Timer).Posted->value(), 1u);
+  EXPECT_EQ(K.cells().TimersScheduled->value(), 1u);
+  EXPECT_EQ(totalDispatched(K), 3u);
   EXPECT_STREQ(laneName(Lane::Input), "input");
   EXPECT_STREQ(laneName(Lane::Background), "background");
 }
@@ -289,14 +296,14 @@ TEST(EventLoopFacade, StatsShapePreservedAndTraceExported) {
   Env.loop().enqueueTask(
       [&] { Env.clock().chargeNs(browser::msToNs(10)); });
   Env.loop().run();
-  const browser::EventLoop::Stats &S = Env.loop().stats();
-  EXPECT_EQ(S.EventsRun, 1u);
-  EXPECT_EQ(S.MaxEventNs, browser::msToNs(10));
-  EXPECT_EQ(S.TotalEventNs, browser::msToNs(10));
-  EXPECT_EQ(S.WatchdogKills, 0u);
+  const browser::EventLoop::Cells &S = Env.loop().cells();
+  EXPECT_EQ(S.EventsRun->value(), 1u);
+  EXPECT_EQ(S.MaxEventNs->value(), int64_t(browser::msToNs(10)));
+  EXPECT_EQ(S.TotalEventNs->value(), browser::msToNs(10));
+  EXPECT_EQ(S.WatchdogKills->value(), 0u);
   // Every facade dispatch reaches the kernel trace.
   EXPECT_EQ(Env.loop().kernel().trace().recorded(), 1u);
-  EXPECT_EQ(Env.loop().kernel().counters().totalDispatched(), 1u);
+  EXPECT_EQ(totalDispatched(Env.loop().kernel()), 1u);
 }
 
 TEST(EventLoopFacade, PostAfterWithTokenSkipsCancelledWork) {

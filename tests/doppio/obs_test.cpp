@@ -246,7 +246,7 @@ TEST(Spans, KernelQueueDelayIsAttributedToTheOpenSpan) {
 }
 
 //===----------------------------------------------------------------------===//
-// Legacy views are registry-backed
+// Producer cell handles are the registry's cells
 //===----------------------------------------------------------------------===//
 
 TEST(Views, LoopStatsAndKernelCountersComeFromTheRegistry) {
@@ -254,13 +254,13 @@ TEST(Views, LoopStatsAndKernelCountersComeFromTheRegistry) {
   Env.loop().post(kernel::Lane::Background,
                   [&] { Env.clock().chargeNs(1000); });
   Env.loop().run();
-  EventLoop::Stats S = Env.loop().stats();
-  EXPECT_EQ(S.EventsRun, 1u);
-  EXPECT_EQ(S.TotalEventNs, 1000u);
-  EXPECT_EQ(S.EventsRun, Env.metrics().counter("loop.events_run").value());
-  kernel::Counters K = Env.loop().kernel().counters();
-  EXPECT_EQ(K.Lanes[static_cast<size_t>(kernel::Lane::Background)].Dispatched,
-            1u);
+  const EventLoop::Cells &S = Env.loop().cells();
+  EXPECT_EQ(S.EventsRun->value(), 1u);
+  EXPECT_EQ(S.TotalEventNs->value(), 1000u);
+  EXPECT_EQ(S.EventsRun, &Env.metrics().counter("loop.events_run"));
+  EXPECT_EQ(
+      Env.loop().kernel().lane(kernel::Lane::Background).Dispatched->value(),
+      1u);
 }
 
 //===----------------------------------------------------------------------===//

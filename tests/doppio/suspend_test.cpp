@@ -208,7 +208,7 @@ TEST(ThreadPool, LongComputationStaysUnderWatchdogOnlyWithSegmentation) {
   Env.loop().run();
   EXPECT_EQ(Journal.size(), 200000u);
   EXPECT_FALSE(Env.loop().watchdogFired());
-  EXPECT_GT(Env.loop().stats().EventsRun, 100u)
+  EXPECT_GT(Env.loop().cells().EventsRun->value(), 100u)
       << "the computation was split into many events";
 }
 
@@ -266,7 +266,7 @@ TEST(ThreadPool, InputStaysResponsiveDuringLongComputation) {
                           msToNs(100) * I, EventKind::Input);
   Env.loop().run();
   EXPECT_EQ(Journal.size(), 100000u);
-  EXPECT_LT(Env.loop().stats().MaxInputLatencyNs, msToNs(50))
+  EXPECT_LT(Env.loop().cells().MaxInputLatencyNs->value(), msToNs(50))
       << "input waited behind compute events";
 }
 

@@ -346,17 +346,17 @@ TEST(Dataflow, ElisionOnAndOffProduceIdenticalRuns) {
 }
 
 TEST(Dataflow, TrustVerifierEnvOverrideIsHonored) {
-  // DOPPIO_JVM_TRUST_VERIFIER=0 forces guarded execution even with the
+  // DOPPIO_JVM_PROFILE=trust=0 forces guarded execution even with the
   // default options.
-  setenv("DOPPIO_JVM_TRUST_VERIFIER", "0", 1);
+  setenv("DOPPIO_JVM_PROFILE", "trust=0", 1);
   {
     JvmRig Rig(ExecutionMode::DoppioJS);
-    EXPECT_FALSE(Rig.vm().trustVerifier());
+    EXPECT_FALSE(Rig.vm().profile().TrustVerifier);
   }
-  unsetenv("DOPPIO_JVM_TRUST_VERIFIER");
+  unsetenv("DOPPIO_JVM_PROFILE");
   {
     JvmRig Rig(ExecutionMode::DoppioJS);
-    EXPECT_TRUE(Rig.vm().trustVerifier());
+    EXPECT_TRUE(Rig.vm().profile().TrustVerifier);
   }
 }
 

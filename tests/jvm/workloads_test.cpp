@@ -150,9 +150,9 @@ TEST(WorkloadOutputs, ClassDumpIsFileHeavy) {
   JvmRig Rig(ExecutionMode::DoppioJS);
   publish(W, Rig.Env.server());
   EXPECT_EQ(Rig.run(W.MainClass), 0);
-  EXPECT_GE(Rig.Fs->stats().UniqueFilesTouched, 30u);
-  EXPECT_GT(Rig.Fs->stats().BytesRead, 1000u);
-  EXPECT_GT(Rig.Fs->stats().BytesWritten, 100u);
+  EXPECT_GE(Rig.Fs->cells().UniqueFiles->value(), 30u);
+  EXPECT_GT(Rig.Fs->cells().BytesRead->value(), 1000u);
+  EXPECT_GT(Rig.Fs->cells().BytesWritten->value(), 100u);
 }
 
 } // namespace

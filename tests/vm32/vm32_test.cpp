@@ -202,7 +202,7 @@ TEST(ShadowGame, DoppioModeSurvivesTheSameLongRun) {
   EXPECT_EQ(Vm.stats().Frames, 2u * 40000u);
   EXPECT_FALSE(Rig.Env.loop().watchdogFired());
   EXPECT_GT(Vm.stats().SuspendYields, 10u);
-  EXPECT_LT(Rig.Env.loop().stats().MaxInputLatencyNs, msToNs(60))
+  EXPECT_LT(Rig.Env.loop().cells().MaxInputLatencyNs->value(), msToNs(60))
       << "the page stays responsive under Doppio (§7.2)";
 }
 
