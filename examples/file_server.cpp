@@ -94,7 +94,8 @@ int main() {
   });
 
   // Let the traffic complete, then drain.
-  Env.loop().scheduleAfter(
+  Env.loop().postAfter(
+      kernel::Lane::IoCompletion,
       [&] {
         printf("\nshutting down (drain)...\n");
         Srv.shutdown([&] {

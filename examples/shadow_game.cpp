@@ -41,8 +41,8 @@ struct Deployment {
                                               std::move(Mounted));
     // A user clicks every 250 ms of virtual time while the game runs.
     for (int I = 1; I <= 60; ++I)
-      Env.loop().setTimeout([] {}, browser::msToNs(250) * I,
-                            browser::EventKind::Input);
+      Env.loop().postAfter(kernel::Lane::Input, [] {},
+                           browser::msToNs(250) * I);
   }
 
   browser::BrowserEnv Env;

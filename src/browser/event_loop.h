@@ -9,17 +9,20 @@
 /// as a sequence of finite-duration events on a single thread; an event runs
 /// to completion (it cannot be preempted), and events that keep the page
 /// unresponsive for too long are killed by the browser's watchdog. This
-/// event loop reproduces those semantics over the virtual clock, including
-/// the setTimeout 4 ms minimum clamp (§4.4) and per-event latency
-/// accounting used to measure page responsiveness in the §7.2 case study.
+/// event loop reproduces those semantics over the virtual clock, with
+/// per-event latency accounting used to measure page responsiveness in the
+/// §7.2 case study.
 ///
-/// Since the unified-kernel refactor the loop no longer owns queues of its
-/// own: it is a run-to-completion facade over doppio::kernel::Kernel's
-/// prioritized dispatch lanes. Browser policy lives here (the timer clamp,
-/// watchdog accounting, input-latency stats); ordering, timers,
-/// cancellation, and tracing live in the kernel. The classic browser API
-/// (enqueueTask / setTimeout / scheduleAfter / trySetImmediate) maps onto
-/// lanes, and lane-aware callers can use post()/postAfter() directly.
+/// The loop owns no queues of its own: it is a run-to-completion facade
+/// over doppio::kernel::Kernel's prioritized dispatch lanes. Browser policy
+/// lives here (watchdog accounting, input-latency stats, setImmediate
+/// availability and cost); ordering, timers, cancellation, and tracing
+/// live in the kernel. Scheduling is four calls: post() runs work now (a
+/// closure or a reified continuation), postAfter() runs it later and
+/// returns a TimerHandle, and trySetImmediate() is the browser's
+/// setImmediate (§4.4). Nothing here clamps delays: the 4 ms setTimeout
+/// clamp is applied by the Suspender's IE8 fallback, the one caller that
+/// models setTimeout.
 ///
 /// The loop also owns the tab's obs::Registry (the simulated tab is the
 /// paper's process): every subsystem above it — fs, doppiod, suspender,
@@ -27,12 +30,6 @@
 /// work item's causal span around its dispatch so span ids follow
 /// operations across async hops (see obs/span.h). The loop's own event
 /// accounting lives in `loop.*` cells, read through cells().
-///
-/// Timer ownership is typed: setTimer()/postTimer() return a TimerHandle
-/// that can cancel the pending fire even after promotion (handle cancel +
-/// CancelToken, the belt-and-braces doppiod's idle sweep pioneered). The
-/// integer setTimeout()/clearTimeout() surface survives as a thin shim for
-/// the JavaScript-visible API, which hands integer ids to scripts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,61 +43,53 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <utility>
 
 namespace doppio {
 namespace browser {
 
-/// Classifies events for latency accounting. Input events model user
-/// interaction; their queueing delay is the "page responsiveness" metric.
-enum class EventKind { Task, Input };
-
 class EventLoop;
 
-/// Owning handle for a pending timer, returned by EventLoop::setTimer /
-/// postTimer. Move-only; destruction does NOT cancel (matching the old
-/// integer-handle semantics, where dropping the id let the timer fire).
-///
-/// cancel() beats the raw kernel handle in one way that matters: a timer
-/// that is already *due* has been promoted out of the heap into its lane,
-/// where cancelTimer() can no longer reach it — but the CancelToken every
-/// typed timer carries still stops it at dispatch. Callers that used to
-/// keep a (handle, CancelSource, armed-flag) triple keep one object.
+/// Handle for a timer from EventLoop::postAfter: the owning loop and the
+/// kernel timer handle. Move-only; destruction does NOT cancel (dropping
+/// the handle lets the timer fire). The timer stays cancellable until it
+/// is dispatched, including after it became due and was promoted into its
+/// lane (kernel::Kernel::cancelTimer).
 class TimerHandle {
 public:
   TimerHandle() = default;
-  TimerHandle(TimerHandle &&) = default;
-  TimerHandle &operator=(TimerHandle &&) = default;
+  TimerHandle(TimerHandle &&O) noexcept
+      : Loop(std::exchange(O.Loop, nullptr)),
+        Handle(std::exchange(O.Handle, 0)) {}
+  TimerHandle &operator=(TimerHandle &&O) noexcept {
+    Loop = std::exchange(O.Loop, nullptr);
+    Handle = std::exchange(O.Handle, 0);
+    return *this;
+  }
   TimerHandle(const TimerHandle &) = delete;
   TimerHandle &operator=(const TimerHandle &) = delete;
 
   /// True if this handle was ever bound to a timer.
   explicit operator bool() const { return Loop != nullptr; }
 
-  /// True while the timer is still going to fire: bound, not yet run, not
-  /// cancelled.
-  bool armed() const { return Loop && Fired && !*Fired && !Src.cancelled(); }
+  /// True while the timer is still going to fire: bound, not yet
+  /// dispatched, not cancelled.
+  bool armed() const;
 
-  /// Cancels the pending fire (heap entry in O(1), or via the token if
-  /// already promoted). Returns true if a fire was actually prevented;
-  /// false for unbound, already-fired, or already-cancelled handles.
+  /// Cancels the pending fire. Returns true if a fire was actually
+  /// prevented; false for unbound, already-fired, or already-cancelled
+  /// handles.
   bool cancel();
 
-  /// The underlying kernel timer handle (0 when unbound) — interoperates
-  /// with the integer clearTimeout()/cancelTimer() surface.
+  /// The underlying kernel timer handle (0 when unbound).
   uint64_t id() const { return Handle; }
 
 private:
   friend class EventLoop;
-  TimerHandle(EventLoop *Loop, uint64_t Handle, kernel::CancelSource Src,
-              std::shared_ptr<bool> Fired)
-      : Loop(Loop), Handle(Handle), Src(std::move(Src)),
-        Fired(std::move(Fired)) {}
+  TimerHandle(EventLoop *Loop, uint64_t Handle) : Loop(Loop), Handle(Handle) {}
 
   EventLoop *Loop = nullptr;
   uint64_t Handle = 0;
-  kernel::CancelSource Src;
-  std::shared_ptr<bool> Fired;
 };
 
 /// The single-threaded, run-to-completion browser event loop: browser
@@ -130,64 +119,26 @@ public:
                &Reg.gauge("loop.event_ns_max"),
                &Reg.gauge("loop.input_latency_ns_max")} {}
 
-  /// Places \p Fn at the back of the ready queue (a macrotask). Input
-  /// events go to the Input lane (dispatched ahead of everything else);
-  /// plain tasks go to the Background lane.
-  void enqueueTask(Event Fn, EventKind Kind = EventKind::Task);
-
-  /// Typed JavaScript timer: schedules \p Fn after \p DelayNs, subject to
-  /// the profile's minimum timeout clamp, and returns an owning
-  /// TimerHandle. Prefer this over setTimeout() in C++ callers.
-  TimerHandle setTimer(Event Fn, uint64_t DelayNs,
-                       EventKind Kind = EventKind::Task);
-
-  /// Typed lane-aware timer: \p Fn runs on lane \p L after exactly
-  /// \p DelayNs (no clamp), with an owning TimerHandle. Prefer this over
-  /// postAfter() when the caller may need to cancel.
-  TimerHandle postTimer(kernel::Lane L, Event Fn, uint64_t DelayNs);
-
-  /// Schedules \p Fn after \p DelayNs, subject to the profile's minimum
-  /// timeout clamp. Returns a handle usable with clearTimeout.
-  ///
-  /// Deprecated integer surface: kept because the JavaScript-visible API
-  /// hands integer ids to scripts (jcl's JS setTimeout). New C++ callers
-  /// should use setTimer(); this is now a thin shim over it.
-  uint64_t setTimeout(Event Fn, uint64_t DelayNs,
-                      EventKind Kind = EventKind::Task);
-
-  /// Cancels a pending timeout. Cancelling an already-fired or unknown
-  /// handle is a no-op. Deprecated with setTimeout (TimerHandle::cancel
-  /// supersedes it); kept for the JS-visible integer surface.
-  void clearTimeout(uint64_t Handle);
-
-  /// Schedules \p Fn exactly \p DelayNs from now with no minimum clamp.
-  /// This is not a JavaScript-visible API: it models the completion of
-  /// browser-internal asynchronous work (XHR responses, IndexedDB
-  /// transactions, network frames) which is not subject to timer clamping;
-  /// it lands in the I/O-completion lane.
-  void scheduleAfter(Event Fn, uint64_t DelayNs,
-                     EventKind Kind = EventKind::Task);
-
-  /// Schedules \p Fn at the back of the queue with no clamp. Returns false
-  /// (scheduling nothing) if this browser lacks setImmediate (§4.4).
-  bool trySetImmediate(Event Fn);
-
-  /// Lane-aware enqueue: \p Fn is eligible now, dispatched in \p L's
-  /// priority position. Work carrying a cancelled token is skipped.
-  void post(kernel::Lane L, Event Fn, kernel::CancelToken Cancel = {});
+  /// Runs \p Fn now: it is eligible at once and dispatched in \p L's
+  /// priority position, FIFO within the lane.
+  void post(kernel::Lane L, Event Fn) { K.post(L, std::move(Fn)); }
 
   /// Posts a reified continuation (DESIGN.md §16) for one-shot dispatch
   /// on lane \p L.
-  void post(kernel::Lane L, rt::Continuation K, kernel::CancelToken Cancel = {});
+  void post(kernel::Lane L, rt::Continuation Cont) {
+    K.post(L, std::move(Cont));
+  }
 
-  /// Lane-aware timer: \p Fn runs on lane \p L after exactly \p DelayNs
-  /// (no clamp). Returns a kernel timer handle for cancelTimer().
-  uint64_t postAfter(kernel::Lane L, Event Fn, uint64_t DelayNs,
-                     kernel::CancelToken Cancel = {});
+  /// Runs \p Fn on lane \p L exactly \p DelayNs from now (no clamp). The
+  /// handle may be dropped; keep it to cancel.
+  TimerHandle postAfter(kernel::Lane L, Event Fn, uint64_t DelayNs) {
+    return TimerHandle(this, K.postAfter(L, std::move(Fn), DelayNs));
+  }
 
-  /// Cancels a handle from postAfter()/setTimeout(). Returns false for
-  /// already-fired, already-cancelled, or unknown handles.
-  bool cancelTimer(uint64_t Handle) { return K.cancelTimer(Handle); }
+  /// Browser setImmediate: charges its latency and posts \p Fn to the
+  /// Resume lane. Returns false (scheduling nothing) if this browser lacks
+  /// setImmediate (§4.4).
+  bool trySetImmediate(Event Fn);
 
   /// Dispatches a single event, advancing the virtual clock over idle gaps.
   /// Returns false when no work remains.

@@ -58,7 +58,8 @@ void IndexedDB::put(std::string Key, Bytes Value,
                     std::function<void(bool)> Done) {
   uint64_t Latency =
       Prof.Costs.IdbLatencyNs + Prof.Costs.StoragePerByteNs * Value.size() / 4;
-  Loop.scheduleAfter(
+  Loop.postAfter(
+      kernel::Lane::IoCompletion,
       [this, Key = std::move(Key), Value = std::move(Value),
        Done = std::move(Done)]() mutable {
         uint64_t OldBytes = 0;
@@ -81,7 +82,8 @@ void IndexedDB::put(std::string Key, Bytes Value,
 
 void IndexedDB::get(std::string Key,
                     std::function<void(std::optional<Bytes>)> Done) {
-  Loop.scheduleAfter(
+  Loop.postAfter(
+      kernel::Lane::IoCompletion,
       [this, Key = std::move(Key), Done = std::move(Done)] {
         auto It = Items.find(Key);
         if (It == Items.end()) {
@@ -94,7 +96,8 @@ void IndexedDB::get(std::string Key,
 }
 
 void IndexedDB::remove(std::string Key, std::function<void()> Done) {
-  Loop.scheduleAfter(
+  Loop.postAfter(
+      kernel::Lane::IoCompletion,
       [this, Key = std::move(Key), Done = std::move(Done)] {
         auto It = Items.find(Key);
         if (It != Items.end()) {
@@ -109,7 +112,8 @@ void IndexedDB::remove(std::string Key, std::function<void()> Done) {
 
 void IndexedDB::listKeys(
     std::function<void(std::vector<std::string>)> Done) {
-  Loop.scheduleAfter(
+  Loop.postAfter(
+      kernel::Lane::IoCompletion,
       [this, Done = std::move(Done)] {
         std::vector<std::string> Result;
         Result.reserve(Items.size());

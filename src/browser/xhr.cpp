@@ -20,8 +20,9 @@ void Xhr::get(std::string Path, std::function<void(Response)> Done) {
   const std::vector<uint8_t> *File = Server.lookup(Path);
   const CostModel &Costs = Prof.Costs;
   if (!File) {
-    Loop.scheduleAfter([Done = std::move(Done)] { Done({404, {}, {}}); },
-                       Costs.XhrLatencyNs);
+    Loop.postAfter(kernel::Lane::IoCompletion,
+                   [Done = std::move(Done)] { Done({404, {}, {}}); },
+                   Costs.XhrLatencyNs);
     return;
   }
   Response R;
@@ -37,7 +38,8 @@ void Xhr::get(std::string Path, std::function<void(Response)> Done) {
   uint64_t Latency = Costs.XhrLatencyNs + Costs.XhrPerByteNs * Bytes;
   if (R.Transport == XhrTransport::BinaryString)
     Latency += Costs.XhrPerByteNs * Bytes; // String transcoding overhead.
-  Loop.scheduleAfter(
+  Loop.postAfter(
+      kernel::Lane::IoCompletion,
       [Done = std::move(Done), R = std::move(R)]() mutable {
         Done(std::move(R));
       },

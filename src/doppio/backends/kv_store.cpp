@@ -92,7 +92,8 @@ void CloudKv::get(const std::string &Key, GetCb Done) {
   auto It = Remote.find(Key);
   if (It != Remote.end())
     Latency += Env.profile().Costs.XhrPerByteNs * It->second.size();
-  Env.loop().scheduleAfter(
+  Env.loop().postAfter(
+      kernel::Lane::IoCompletion,
       [this, Key, Done = std::move(Done)] {
         auto Found = Remote.find(Key);
         if (Found == Remote.end()) {
@@ -107,7 +108,8 @@ void CloudKv::get(const std::string &Key, GetCb Done) {
 void CloudKv::put(const std::string &Key, const Bytes &Value, DoneCb Done) {
   uint64_t Latency =
       RoundTripNs + Env.profile().Costs.XhrPerByteNs * Value.size();
-  Env.loop().scheduleAfter(
+  Env.loop().postAfter(
+      kernel::Lane::IoCompletion,
       [this, Key, Value, Done = std::move(Done)] {
         uint64_t Old = 0;
         auto It = Remote.find(Key);
@@ -129,7 +131,8 @@ void CloudKv::put(const std::string &Key, const Bytes &Value, DoneCb Done) {
 }
 
 void CloudKv::del(const std::string &Key, DoneCb Done) {
-  Env.loop().scheduleAfter(
+  Env.loop().postAfter(
+      kernel::Lane::IoCompletion,
       [this, Key, Done = std::move(Done)] {
         auto It = Remote.find(Key);
         if (It != Remote.end()) {

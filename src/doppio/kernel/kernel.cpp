@@ -68,32 +68,28 @@ std::vector<TraceEntry> TraceRing::snapshot() const {
   return Out;
 }
 
-uint64_t Kernel::post(Lane L, WorkFn Fn, CancelToken Cancel) {
+uint64_t Kernel::post(Lane L, WorkFn Fn) {
   assert(Fn && "posting empty work");
   size_t Idx = static_cast<size_t>(L);
   uint64_t Id = NextWorkId++;
-  Lanes[Idx].push_back({std::move(Fn), Id, Clock.nowNs(), std::move(Cancel),
-                        Reg.spans().current()});
+  Lanes[Idx].push_back(
+      {std::move(Fn), Id, Clock.nowNs(), /*Timer=*/0, Reg.spans().current()});
   Cells_.Lanes[Idx].Posted->inc();
   return Id;
 }
 
-uint64_t Kernel::post(Lane L, rt::Continuation K, CancelToken Cancel) {
+uint64_t Kernel::post(Lane L, rt::Continuation K) {
   // WorkFn is a copyable std::function; the move-only continuation rides
   // in a shared_ptr. One-shot enforcement lives in the continuation, so
   // even a pathological double-dispatch is accounted, not undefined.
   auto Held = std::make_shared<rt::Continuation>(std::move(K));
-  return post(
-      L,
-      [Held] {
-        if (Held->armed())
-          Held->resume();
-      },
-      std::move(Cancel));
+  return post(L, [Held] {
+    if (Held->armed())
+      Held->resume();
+  });
 }
 
-uint64_t Kernel::postAfter(Lane L, WorkFn Fn, uint64_t DelayNs,
-                           CancelToken Cancel) {
+uint64_t Kernel::postAfter(Lane L, WorkFn Fn, uint64_t DelayNs) {
   assert(Fn && "scheduling empty work");
   auto Rec = std::make_unique<TimerRec>();
   Rec->DueNs = Clock.nowNs() + DelayNs;
@@ -101,7 +97,6 @@ uint64_t Kernel::postAfter(Lane L, WorkFn Fn, uint64_t DelayNs,
   Rec->Handle = NextHandle++;
   Rec->L = L;
   Rec->Fn = std::move(Fn);
-  Rec->Cancel = std::move(Cancel);
   Rec->Span = Reg.spans().current();
   uint64_t Handle = Rec->Handle;
   LiveTimers.emplace(Handle, Rec.get());
@@ -115,10 +110,14 @@ bool Kernel::cancelTimer(uint64_t Handle) {
   auto It = LiveTimers.find(Handle);
   if (It == LiveTimers.end())
     return false;
-  It->second->Cancelled = true;
-  It->second->Fn = nullptr; // Drop captured state eagerly.
+  // A promoted timer (null record) already sits in its lane; dropping its
+  // handle is what makes next() skip it.
+  if (TimerRec *Rec = It->second) {
+    Rec->Cancelled = true;
+    Rec->Fn = nullptr; // Drop captured state eagerly.
+    ++CancelledInHeap;
+  }
   LiveTimers.erase(It);
-  ++CancelledInHeap;
   Cells_.TimersCancelled->inc();
   compactIfNeeded();
   return true;
@@ -160,12 +159,13 @@ void Kernel::promoteDue() {
     if (Heap.empty() || Heap.front()->DueNs > NowNs)
       break;
     std::unique_ptr<TimerRec> Rec = heapPop();
-    LiveTimers.erase(Rec->Handle);
+    // The handle stays live (cancellable) until dispatch.
+    LiveTimers.find(Rec->Handle)->second = nullptr;
     // A promoted timer's ReadyNs is its due time, not the promotion
     // moment: queue-delay accounting should charge the wait behind other
     // work, and input-latency tracking in the facade depends on it.
     Lanes[static_cast<size_t>(Rec->L)].push_back(
-        {std::move(Rec->Fn), NextWorkId++, Rec->DueNs, std::move(Rec->Cancel),
+        {std::move(Rec->Fn), NextWorkId++, Rec->DueNs, Rec->Handle,
          Rec->Span});
   }
 }
@@ -196,7 +196,9 @@ std::optional<Kernel::Work> Kernel::next(std::optional<uint64_t> HorizonNs) {
       ReadyItem Item = std::move(Q.front());
       Q.pop_front();
       Popped = true;
-      if (Item.Cancel.cancelled()) {
+      // A promoted timer dispatches only while its handle is live; the
+      // erase also ends timerPending() for it.
+      if (Item.Timer && LiveTimers.erase(Item.Timer) == 0) {
         Cells_.Lanes[Idx].CancelledSkipped->inc();
         break; // Re-promote and re-scan from the top lane.
       }
@@ -219,8 +221,8 @@ std::optional<Kernel::Work> Kernel::next(std::optional<uint64_t> HorizonNs) {
 }
 
 std::optional<uint64_t> Kernel::nextEligibleNs() {
-  // Queued lane work (even token-cancelled items: popping them is still a
-  // dispatch step) is eligible immediately.
+  // Queued lane work (even cancelled promoted timers: popping them is
+  // still a dispatch step) is eligible immediately.
   for (const std::deque<ReadyItem> &Q : Lanes)
     if (!Q.empty())
       return Clock.nowNs();

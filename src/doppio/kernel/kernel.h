@@ -29,11 +29,13 @@
 ///    vector. Equal due times preserve insertion order, which is what TCP
 ///    FIFO delivery in SimNet relies on.
 ///
-///  - **First-class cancellation.** Timers return handles with O(1)
-///    cancellation; any work item can additionally carry a CancelToken.
-///    Cancelled entries are reaped on promotion and the heap is compacted
-///    whenever cancelled entries outnumber live ones, so a long-lived
-///    server that arms and cancels timers forever stays bounded.
+///  - **One cancellation mechanism.** postAfter() returns a timer handle
+///    that stays cancellable until the timer is dispatched — also after
+///    it has become due and been promoted into its lane. Cancelling is
+///    O(1); cancelled heap entries are reaped on promotion and the heap is
+///    compacted whenever cancelled entries outnumber live ones, so a
+///    long-lived server that arms and cancels timers forever stays
+///    bounded.
 ///
 ///  - **A trace ring buffer + counters.** Every dispatch is recorded
 ///    (event id, lane, queue delay, run time, virtual-clock timestamps) in
@@ -41,9 +43,10 @@
 ///    aggregate per-lane counters — the data that answers *why* a
 ///    Figure 5/7 number moved.
 ///
-/// The kernel is policy-free about browser semantics: the 4 ms setTimeout
-/// clamp, the watchdog, and per-profile costs stay in browser::EventLoop,
-/// which is now a run-to-completion facade over these lanes.
+/// The kernel is policy-free about browser semantics: the watchdog and
+/// per-profile costs stay in browser::EventLoop, a run-to-completion
+/// facade over these lanes, and the 4 ms setTimeout clamp in the one
+/// caller that models setTimeout (the Suspender's IE8 fallback).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,44 +92,6 @@ enum class Lane : uint8_t {
 constexpr size_t NumLanes = 5;
 
 const char *laneName(Lane L);
-
-class CancelSource;
-
-/// Observer half of a cancellation pair. Copyable; work items carrying a
-/// cancelled token are skipped (never run) at dispatch time. A
-/// default-constructed token never reports cancelled.
-class CancelToken {
-public:
-  CancelToken() = default;
-
-  bool cancelled() const { return Flag && *Flag; }
-  /// True if this token is connected to a CancelSource.
-  bool attached() const { return Flag != nullptr; }
-
-private:
-  friend class CancelSource;
-  explicit CancelToken(std::shared_ptr<const bool> Flag)
-      : Flag(std::move(Flag)) {}
-  std::shared_ptr<const bool> Flag;
-};
-
-/// Owner half of a cancellation pair: hand out tokens, flip them all with
-/// one cancel() call. Single-threaded, like everything over the virtual
-/// clock.
-class CancelSource {
-public:
-  CancelSource() : Flag(std::make_shared<bool>(false)) {}
-
-  CancelToken token() const { return CancelToken(Flag); }
-  void cancel() { *Flag = true; }
-  bool cancelled() const { return *Flag; }
-  /// Re-arms the source: outstanding tokens from before reset() stay
-  /// cancelled; token() hands out fresh ones.
-  void reset() { Flag = std::make_shared<bool>(false); }
-
-private:
-  std::shared_ptr<bool> Flag;
-};
 
 /// One dispatched event, as recorded in the trace ring.
 struct TraceEntry {
@@ -178,7 +143,8 @@ private:
 struct LaneCells {
   obs::Counter *Posted = nullptr;
   obs::Counter *Dispatched = nullptr;
-  /// Items skipped because their CancelToken fired before dispatch.
+  /// Promoted timers skipped because their handle was cancelled before
+  /// dispatch.
   obs::Counter *CancelledSkipped = nullptr;
   obs::Counter *QueueDelayNsTotal = nullptr;
   obs::Counter *RunNsTotal = nullptr;
@@ -210,23 +176,29 @@ public:
 
   /// Enqueues \p Fn at the back of lane \p L, eligible to run now.
   /// Returns the work id (also the future trace id).
-  uint64_t post(Lane L, WorkFn Fn, CancelToken Cancel = {});
+  uint64_t post(Lane L, WorkFn Fn);
 
   /// Enqueues a reified continuation on lane \p L (DESIGN.md §16). The
   /// registry's current span is captured like any other post, so causal
   /// ids follow the suspended computation across the hop. A continuation
   /// disarmed before dispatch (resumed elsewhere, or its owner died) is a
   /// tolerated no-op at dispatch time.
-  uint64_t post(Lane L, rt::Continuation K, CancelToken Cancel = {});
+  uint64_t post(Lane L, rt::Continuation K);
 
   /// Schedules \p Fn on lane \p L, due \p DelayNs from now. Returns a
-  /// timer handle usable with cancelTimer().
-  uint64_t postAfter(Lane L, WorkFn Fn, uint64_t DelayNs,
-                     CancelToken Cancel = {});
+  /// timer handle usable with cancelTimer() and timerPending().
+  uint64_t postAfter(Lane L, WorkFn Fn, uint64_t DelayNs);
 
-  /// Cancels a pending timer in O(1). Returns false (a no-op) for
-  /// already-fired, already-cancelled, or unknown handles.
+  /// Cancels a timer in O(1) any time before it is dispatched: in the
+  /// heap, or already due and promoted into its lane (next() then skips
+  /// it). Returns false (a no-op) for dispatched, already-cancelled, or
+  /// unknown handles.
   bool cancelTimer(uint64_t Handle);
+
+  /// True from postAfter() until the timer is dispatched or cancelled.
+  bool timerPending(uint64_t Handle) const {
+    return LiveTimers.count(Handle) != 0;
+  }
 
   /// A dispatched unit of work, handed to the host loop.
   struct Work {
@@ -242,9 +214,9 @@ public:
   };
 
   /// Promotes due timers, then pops the highest-priority ready item,
-  /// skipping cancelled work. If every lane is empty but live timers
-  /// remain, advances the virtual clock over the idle gap to the next due
-  /// time. Returns nullopt when no runnable work remains.
+  /// skipping promoted timers cancelled since. If every lane is empty but
+  /// live timers remain, advances the virtual clock over the idle gap to
+  /// the next due time. Returns nullopt when no runnable work remains.
   ///
   /// With \p HorizonNs set, the idle-gap advance is bounded: the clock is
   /// never jumped past the horizon, and nullopt is returned instead when
@@ -273,8 +245,8 @@ public:
   /// Cancelled entries still occupying heap slots (bounded: reaped on
   /// promotion and compacted when they outnumber live entries).
   size_t cancelledTimers() const { return CancelledInHeap; }
-  /// Items currently queued across all lanes (including not-yet-skipped
-  /// cancelled items).
+  /// Items currently queued across all lanes (including promoted timers
+  /// cancelled but not yet skipped).
   size_t queuedWork() const;
 
   /// The kernel's registry cells (`kernel.lane.<lane>.*`,
@@ -305,7 +277,9 @@ private:
     WorkFn Fn;
     uint64_t Id = 0;
     uint64_t ReadyNs = 0;
-    CancelToken Cancel;
+    /// The timer handle of a promoted timer (0 for posted work): next()
+    /// dispatches it only while the handle is still live.
+    uint64_t Timer = 0;
     obs::SpanId Span = 0;
   };
 
@@ -315,7 +289,6 @@ private:
     uint64_t Handle = 0;
     Lane L = Lane::Timer;
     WorkFn Fn;
-    CancelToken Cancel;
     bool Cancelled = false;
     obs::SpanId Span = 0;
   };
@@ -345,6 +318,8 @@ private:
   obs::Registry &Reg;
   std::deque<ReadyItem> Lanes[NumLanes];
   std::vector<std::unique_ptr<TimerRec>> Heap;
+  /// Every timer not yet dispatched or cancelled, by handle: its heap
+  /// record, or null once promoted into its lane.
   std::unordered_map<uint64_t, TimerRec *> LiveTimers;
   size_t CancelledInHeap = 0;
   uint64_t NextSeq = 0;

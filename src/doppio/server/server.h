@@ -146,10 +146,8 @@ private:
   bool Running = false;
   bool AcceptArmed = false;
   bool Draining = false;
-  /// Pending idle-sweep timer. TimerHandle::cancel covers both the heap
-  /// entry and a sweep already promoted but not yet run (the
-  /// belt-and-braces this server used to hand-roll with a raw handle +
-  /// CancelSource + armed flag).
+  /// Pending idle-sweep timer. Cancelling it covers a sweep still in the
+  /// timer heap and one already promoted into its lane but not yet run.
   browser::TimerHandle Sweep;
   std::function<void()> OnDrained;
 };

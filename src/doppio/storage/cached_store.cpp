@@ -37,7 +37,6 @@ CacheConfig CacheConfig::forProfile(const browser::Profile &P) {
   C.FlushIntervalNs = browser::msToNs(8) * (P.Costs.EngineFactor >= 10 ? 4 : 1);
   C.CheckpointJournalBytes = 256 * 1024;
   C.PrefetchDepth = 8;
-  C.Journaled = true;
   return C;
 }
 
@@ -319,15 +318,16 @@ void CachedKvStore::put(const std::string &Key, const Bytes &Value,
   });
 }
 
-uint64_t CachedKvStore::projectedPutCost(const Manifest &M, const Bytes &Value,
+uint64_t CachedKvStore::projectedPutCost(const Manifest &M,
                                          const std::string &Key) const {
   uint64_t Cost = recordOverhead(Key, M);
-  for (size_t I = 0; I != M.Blocks.size(); ++I) {
-    const BlockId &B = M.Blocks[I];
+  // A block the value repeats is stored once, so it is billed once.
+  std::set<BlockId> Billed;
+  for (const BlockId &B : M.Blocks) {
     if (Persisted.count(B) || DirtyBlocks.count(B))
       continue; // Already durable or already billed.
-    (void)Value;
-    Cost += Slow->putCostBytes(blockKey(B), B.Size);
+    if (Billed.insert(B).second)
+      Cost += Slow->putCostBytes(blockKey(B), B.Size);
   }
   return Cost;
 }
@@ -337,7 +337,7 @@ void CachedKvStore::doPut(const std::string &Key, Bytes Value, DoneCb Done) {
 
   uint64_t Quota = Slow->quotaBytes();
   if (Quota) {
-    uint64_t Need = projectedPutCost(M, Value, Key);
+    uint64_t Need = projectedPutCost(M, Key);
     if (Slow->usedBytes() + DirtyProjected + Need > Quota) {
       // Fast-fail with ENOSPC instead of acking a write that can never be
       // flushed, then reclaim in the background (checkpoint truncates the
@@ -519,7 +519,7 @@ void CachedKvStore::evictIfNeeded() {
 void CachedKvStore::armFlushTimer() {
   if (FlushInFlight || FlushTimer.armed())
     return;
-  FlushTimer = Env.loop().postTimer(
+  FlushTimer = Env.loop().postAfter(
       kernel::Lane::Background, [this] { kickFlush(false); },
       Cfg.FlushIntervalNs);
 }
@@ -592,42 +592,21 @@ void CachedKvStore::flushBlocksDone(std::vector<BlockId> Written,
 }
 
 void CachedKvStore::persistCommit(std::vector<BlockId> Written) {
-  // Phase 2: the durability point — one atomic slow-store put. Journaled
-  // stores persist the log image; unjournaled stores persist the full
-  // directory snapshot (absorbing the sealed records first).
-  if (Cfg.Journaled) {
-    Slow->put(JournalKey, J.bytes(),
-              [this, Written = std::move(Written)](
-                  std::optional<ApiError> E) mutable {
-                if (E) {
-                  flushFailed(*E);
-                  return;
-                }
-                for (const Journal::Record &R : SealedUnapplied) {
-                  if (R.K == Journal::Record::Kind::Put)
-                    Committed.put(R.Key, R.M);
-                  else if (R.K == Journal::Record::Kind::Del)
-                    Committed.remove(R.Key);
-                }
-                commitDurable(std::move(Written));
-              });
-    return;
-  }
-  // Reapplying on a retry is idempotent (records carry full manifests).
-  for (const Journal::Record &R : SealedUnapplied) {
-    if (R.K == Journal::Record::Kind::Put)
-      Committed.put(R.Key, R.M);
-    else if (R.K == Journal::Record::Kind::Del)
-      Committed.remove(R.Key);
-  }
-  Slow->put(DirKey, Committed.serialize(),
+  // Phase 2: the durability point — one atomic slow-store put of the log
+  // image.
+  Slow->put(JournalKey, J.bytes(),
             [this, Written = std::move(Written)](
                 std::optional<ApiError> E) mutable {
               if (E) {
                 flushFailed(*E);
                 return;
               }
-              J.truncate();
+              for (const Journal::Record &R : SealedUnapplied) {
+                if (R.K == Journal::Record::Kind::Put)
+                  Committed.put(R.Key, R.M);
+                else if (R.K == Journal::Record::Kind::Del)
+                  Committed.remove(R.Key);
+              }
               commitDurable(std::move(Written));
             });
 }
@@ -670,7 +649,7 @@ void CachedKvStore::commitDurable(std::vector<BlockId> Written) {
   if (CachedBytes > Cfg.CapacityBytes)
     evictIfNeeded();
 
-  if (Cfg.Journaled && J.depthBytes() > Cfg.CheckpointJournalBytes) {
+  if (J.depthBytes() > Cfg.CheckpointJournalBytes) {
     startCheckpoint(/*Rescue=*/false);
     return;
   }

@@ -1,8 +1,9 @@
 //===- tests/browser/event_loop_test.cpp ----------------------------------==//
 //
 // Tests for the simulated browser execution model (§3.1, §4.4): FIFO
-// run-to-completion dispatch, timer clamping, the watchdog, and the
-// message-channel / setImmediate resumption mechanisms.
+// run-to-completion dispatch, unclamped timers and their handles, the
+// watchdog, and the message-channel / setImmediate resumption mechanisms.
+// The 4 ms setTimeout clamp is the Suspender's (suspend_test.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +22,9 @@ namespace {
 TEST(EventLoop, TasksRunInFifoOrder) {
   BrowserEnv Env(chromeProfile());
   std::vector<int> Order;
-  Env.loop().enqueueTask([&] { Order.push_back(1); });
-  Env.loop().enqueueTask([&] { Order.push_back(2); });
-  Env.loop().enqueueTask([&] { Order.push_back(3); });
+  Env.loop().post(kernel::Lane::Background, [&] { Order.push_back(1); });
+  Env.loop().post(kernel::Lane::Background, [&] { Order.push_back(2); });
+  Env.loop().post(kernel::Lane::Background, [&] { Order.push_back(3); });
   Env.loop().run();
   EXPECT_EQ(Order, (std::vector<int>{1, 2, 3}));
 }
@@ -31,8 +32,8 @@ TEST(EventLoop, TasksRunInFifoOrder) {
 TEST(EventLoop, EventsRunToCompletionBeforeLaterEvents) {
   BrowserEnv Env(chromeProfile());
   std::vector<int> Order;
-  Env.loop().enqueueTask([&] {
-    Env.loop().enqueueTask([&] { Order.push_back(2); });
+  Env.loop().post(kernel::Lane::Background, [&] {
+    Env.loop().post(kernel::Lane::Background, [&] { Order.push_back(2); });
     Order.push_back(1); // Runs before the nested task despite being queued
                         // after it: events are never preempted.
   });
@@ -40,21 +41,11 @@ TEST(EventLoop, EventsRunToCompletionBeforeLaterEvents) {
   EXPECT_EQ(Order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventLoop, SetTimeoutAppliesFourMillisecondClamp) {
-  // §4.4: even with a requested delay of 0 the spec imposes >= 4 ms, which
-  // is what makes setTimeout unacceptable for suspend-and-resume.
-  BrowserEnv Env(chromeProfile());
-  uint64_t FiredAt = 0;
-  Env.loop().setTimeout([&] { FiredAt = Env.clock().nowNs(); },
-                        /*DelayNs=*/0);
-  Env.loop().run();
-  EXPECT_GE(FiredAt, msToNs(4));
-}
-
 TEST(EventLoop, SetTimeoutHonorsLongerDelays) {
   BrowserEnv Env(chromeProfile());
   uint64_t FiredAt = 0;
-  Env.loop().setTimeout([&] { FiredAt = Env.clock().nowNs(); }, msToNs(50));
+  Env.loop().postAfter(kernel::Lane::Timer,
+                       [&] { FiredAt = Env.clock().nowNs(); }, msToNs(50));
   Env.loop().run();
   EXPECT_GE(FiredAt, msToNs(50));
   EXPECT_LT(FiredAt, msToNs(51));
@@ -63,9 +54,12 @@ TEST(EventLoop, SetTimeoutHonorsLongerDelays) {
 TEST(EventLoop, TimersFireInDueOrderThenInsertionOrder) {
   BrowserEnv Env(chromeProfile());
   std::vector<int> Order;
-  Env.loop().setTimeout([&] { Order.push_back(1); }, msToNs(20));
-  Env.loop().setTimeout([&] { Order.push_back(2); }, msToNs(10));
-  Env.loop().setTimeout([&] { Order.push_back(3); }, msToNs(10));
+  Env.loop().postAfter(kernel::Lane::Timer, [&] { Order.push_back(1); },
+                       msToNs(20));
+  Env.loop().postAfter(kernel::Lane::Timer, [&] { Order.push_back(2); },
+                       msToNs(10));
+  Env.loop().postAfter(kernel::Lane::Timer, [&] { Order.push_back(3); },
+                       msToNs(10));
   Env.loop().run();
   EXPECT_EQ(Order, (std::vector<int>{2, 3, 1}));
 }
@@ -73,9 +67,9 @@ TEST(EventLoop, TimersFireInDueOrderThenInsertionOrder) {
 TEST(EventLoop, ClearTimeoutCancels) {
   BrowserEnv Env(chromeProfile());
   bool Fired = false;
-  uint64_t Handle =
-      Env.loop().setTimeout([&] { Fired = true; }, msToNs(10));
-  Env.loop().clearTimeout(Handle);
+  TimerHandle H = Env.loop().postAfter(kernel::Lane::Timer,
+                                       [&] { Fired = true; }, msToNs(10));
+  H.cancel();
   Env.loop().run();
   EXPECT_FALSE(Fired);
 }
@@ -83,8 +77,8 @@ TEST(EventLoop, ClearTimeoutCancels) {
 TEST(EventLoop, ScheduleAfterIsNotClamped) {
   BrowserEnv Env(chromeProfile());
   uint64_t FiredAt = ~0ull;
-  Env.loop().scheduleAfter([&] { FiredAt = Env.clock().nowNs(); },
-                           usToNs(100));
+  Env.loop().postAfter(kernel::Lane::IoCompletion,
+                       [&] { FiredAt = Env.clock().nowNs(); }, usToNs(100));
   Env.loop().run();
   EXPECT_EQ(FiredAt, usToNs(100));
 }
@@ -92,8 +86,9 @@ TEST(EventLoop, ScheduleAfterIsNotClamped) {
 TEST(EventLoop, WatchdogFlagsLongEvents) {
   // §3.1: browsers stop scripts that block the page too long.
   BrowserEnv Env(chromeProfile());
-  Env.loop().enqueueTask(
-      [&] { Env.clock().chargeNs(Env.profile().WatchdogLimitNs + 1); });
+  Env.loop().post(kernel::Lane::Background, [&] {
+    Env.clock().chargeNs(Env.profile().WatchdogLimitNs + 1);
+  });
   Env.loop().run();
   EXPECT_TRUE(Env.loop().watchdogFired());
   EXPECT_EQ(Env.loop().cells().WatchdogKills->value(), 1u);
@@ -102,7 +97,8 @@ TEST(EventLoop, WatchdogFlagsLongEvents) {
 TEST(EventLoop, ShortEventsDoNotTripWatchdog) {
   BrowserEnv Env(chromeProfile());
   for (int I = 0; I != 100; ++I)
-    Env.loop().enqueueTask([&] { Env.clock().chargeNs(msToNs(10)); });
+    Env.loop().post(kernel::Lane::Background,
+                    [&] { Env.clock().chargeNs(msToNs(10)); });
   Env.loop().run();
   EXPECT_FALSE(Env.loop().watchdogFired());
   EXPECT_EQ(Env.loop().cells().EventsRun->value(), 100u);
@@ -111,7 +107,7 @@ TEST(EventLoop, ShortEventsDoNotTripWatchdog) {
 TEST(EventLoop, CurrentEventOverLimitIsVisibleToCooperativeCode) {
   BrowserEnv Env(chromeProfile());
   bool SawOverLimit = false;
-  Env.loop().enqueueTask([&] {
+  Env.loop().post(kernel::Lane::Background, [&] {
     EXPECT_FALSE(Env.loop().currentEventOverLimit());
     Env.clock().chargeNs(Env.profile().WatchdogLimitNs + 1);
     SawOverLimit = Env.loop().currentEventOverLimit();
@@ -125,8 +121,9 @@ TEST(EventLoop, InputLatencyMeasuresQueuingDelay) {
   // problem (§3.1). Input due at t=10ms is dispatched only after the
   // 100 ms event finishes.
   BrowserEnv Env(chromeProfile());
-  Env.loop().setTimeout([] {}, msToNs(10), EventKind::Input);
-  Env.loop().enqueueTask([&] { Env.clock().chargeNs(msToNs(100)); });
+  Env.loop().postAfter(kernel::Lane::Input, [] {}, msToNs(10));
+  Env.loop().post(kernel::Lane::Background,
+                  [&] { Env.clock().chargeNs(msToNs(100)); });
   Env.loop().run();
   EXPECT_GE(Env.loop().cells().MaxInputLatencyNs->value(), msToNs(89));
 }
@@ -134,8 +131,9 @@ TEST(EventLoop, InputLatencyMeasuresQueuingDelay) {
 TEST(EventLoop, IdleInputIsDispatchedPromptly) {
   BrowserEnv Env(chromeProfile());
   for (int I = 1; I <= 5; ++I)
-    Env.loop().setTimeout([&] { Env.clock().chargeNs(usToNs(100)); },
-                          msToNs(10 * I), EventKind::Input);
+    Env.loop().postAfter(kernel::Lane::Input,
+                         [&] { Env.clock().chargeNs(usToNs(100)); },
+                         msToNs(10 * I));
   Env.loop().run();
   EXPECT_LE(Env.loop().cells().MaxInputLatencyNs->value(), usToNs(500));
 }
@@ -145,7 +143,7 @@ TEST(MessageChannel, DeliversAsEventOnModernBrowsers) {
   std::vector<std::string> Order;
   Env.channel().setOnMessage(
       [&](const js::String &M) { Order.push_back(js::toAscii(M)); });
-  Env.loop().enqueueTask([&] {
+  Env.loop().post(kernel::Lane::Background, [&] {
     Env.channel().post(js::fromAscii("resume-1"));
     Order.push_back("after-post");
   });
@@ -164,7 +162,7 @@ TEST(MessageChannel, Ie8DispatchesSynchronously) {
   std::vector<std::string> Order;
   Env.channel().setOnMessage(
       [&](const js::String &M) { Order.push_back(js::toAscii(M)); });
-  Env.loop().enqueueTask([&] {
+  Env.loop().post(kernel::Lane::Background, [&] {
     Env.channel().post(js::fromAscii("resume-1"));
     Order.push_back("after-post");
   });
@@ -182,8 +180,11 @@ TEST(MessageChannel, MessageDeliveryBeatsTimeoutClamp) {
   uint64_t MessageAt = 0, TimerAt = 0;
   Env.channel().setOnMessage(
       [&](const js::String &) { MessageAt = Env.clock().nowNs(); });
-  Env.loop().enqueueTask([&] {
-    Env.loop().setTimeout([&] { TimerAt = Env.clock().nowNs(); }, 0);
+  Env.loop().post(kernel::Lane::Background, [&] {
+    // setTimeout(0): the clamp holds it to the profile's minimum delay.
+    Env.loop().postAfter(kernel::Lane::Timer,
+                         [&] { TimerAt = Env.clock().nowNs(); },
+                         Env.profile().MinTimeoutClampNs);
     Env.channel().post(js::fromAscii("m"));
   });
   Env.loop().run();
@@ -236,7 +237,7 @@ TEST(PagingModel, NonLeakingBrowsersReclaim) {
 TEST(TimerHandle, DoubleCancelOnlyFirstPreventsAFire) {
   BrowserEnv Env(chromeProfile());
   bool Fired = false;
-  TimerHandle H = Env.loop().postTimer(kernel::Lane::Timer,
+  TimerHandle H = Env.loop().postAfter(kernel::Lane::Timer,
                                        [&] { Fired = true; }, msToNs(5));
   EXPECT_TRUE(H.armed());
   EXPECT_TRUE(H.cancel());
@@ -252,7 +253,7 @@ TEST(TimerHandle, DoubleCancelOnlyFirstPreventsAFire) {
 TEST(TimerHandle, CancelAfterFireReportsNothingPrevented) {
   BrowserEnv Env(chromeProfile());
   bool Fired = false;
-  TimerHandle H = Env.loop().postTimer(kernel::Lane::Timer,
+  TimerHandle H = Env.loop().postAfter(kernel::Lane::Timer,
                                        [&] { Fired = true; }, msToNs(5));
   Env.loop().run();
   EXPECT_TRUE(Fired);
@@ -266,9 +267,9 @@ TEST(TimerHandle, MoveAssignmentReleasesOldHandleWithoutCancelling) {
   BrowserEnv Env(chromeProfile());
   bool FiredA = false;
   bool FiredB = false;
-  TimerHandle A = Env.loop().postTimer(kernel::Lane::Timer,
+  TimerHandle A = Env.loop().postAfter(kernel::Lane::Timer,
                                        [&] { FiredA = true; }, msToNs(5));
-  TimerHandle B = Env.loop().postTimer(kernel::Lane::Timer,
+  TimerHandle B = Env.loop().postAfter(kernel::Lane::Timer,
                                        [&] { FiredB = true; }, msToNs(10));
   uint64_t IdB = B.id();
   // Overwriting A releases its timer — released, not cancelled: dropping
@@ -286,6 +287,32 @@ TEST(TimerHandle, MoveAssignmentReleasesOldHandleWithoutCancelling) {
   Env.loop().run();
   EXPECT_TRUE(FiredA);
   EXPECT_FALSE(FiredB);
+}
+
+TEST(TimerHandle, CancelsATimerAlreadyDueInItsLane) {
+  // Two timers due at the same instant: the kernel promotes both into the
+  // Timer lane before the first runs, so the first cancels a timer that
+  // has already left the heap.
+  BrowserEnv Env(chromeProfile());
+  const kernel::Kernel &K = Env.loop().kernel();
+  bool SecondRan = false;
+  TimerHandle Second;
+  TimerHandle First = Env.loop().postAfter(
+      kernel::Lane::Timer,
+      [&] {
+        EXPECT_EQ(K.pendingTimers(), 0u) << "both timers left the heap";
+        EXPECT_EQ(K.queuedWork(), 1u) << "the second waits in its lane";
+        EXPECT_TRUE(Second.armed());
+        EXPECT_TRUE(Second.cancel());
+      },
+      msToNs(5));
+  Second = Env.loop().postAfter(kernel::Lane::Timer,
+                                [&] { SecondRan = true; }, msToNs(5));
+  Env.loop().run();
+  EXPECT_FALSE(SecondRan);
+  EXPECT_FALSE(Second.armed());
+  EXPECT_FALSE(First.armed());
+  EXPECT_EQ(K.lane(kernel::Lane::Timer).CancelledSkipped->value(), 1u);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 //===- tests/doppio/kernel_test.cpp ---------------------------------------==//
 //
 // Tests for the unified scheduling kernel: lane priority, FIFO-within-lane
-// ordering, the (DueNs, Seq) timer min-heap, cancellation tokens, cancelled
-// timer reaping, the trace ring buffer, and the exported counters. Run with
-// `ctest -L kernel`.
+// ordering, the (DueNs, Seq) timer min-heap, timer-handle cancellation
+// (also after promotion), cancelled timer reaping, the trace ring buffer,
+// and the exported counters. Run with `ctest -L kernel`.
 //
 //===----------------------------------------------------------------------===//
 
@@ -99,33 +99,30 @@ TEST(Kernel, IdleGapsAdvanceTheVirtualClock) {
   EXPECT_EQ(FiredAt, browser::msToNs(50));
 }
 
-TEST(Kernel, CancelledTokenWorkNeverRuns) {
-  browser::VirtualClock Clock;
-  Kernel K(Clock);
-  CancelSource Src;
-  bool CancelledRan = false;
-  bool PlainRan = false;
-  K.post(Lane::Resume, [&] { CancelledRan = true; }, Src.token());
-  K.post(Lane::Resume, [&] { PlainRan = true; });
-  Src.cancel();
-  drain(K, Clock);
-  EXPECT_FALSE(CancelledRan);
-  EXPECT_TRUE(PlainRan);
-  EXPECT_EQ(K.lane(Lane::Resume).CancelledSkipped->value(), 1u);
-  EXPECT_EQ(K.lane(Lane::Resume).Dispatched->value(), 1u);
-}
-
 TEST(Kernel, CancelTokenCoversTimers) {
+  // The timer handle is the kernel's one cancellation token: it stays
+  // good until dispatch, also once the timer is due and promoted into its
+  // lane. Both timers here are due together, so the first one's callback
+  // cancels a second that already left the heap.
   browser::VirtualClock Clock;
   Kernel K(Clock);
-  CancelSource Src;
   bool Ran = false;
-  K.postAfter(Lane::Timer, [&] { Ran = true; }, browser::msToNs(5),
-              Src.token());
-  K.postAfter(Lane::Timer, [] {}, browser::msToNs(10));
-  Src.cancel();
+  uint64_t Victim = 0;
+  K.postAfter(
+      Lane::Timer,
+      [&] {
+        EXPECT_EQ(K.pendingTimers(), 0u);
+        EXPECT_TRUE(K.timerPending(Victim));
+        EXPECT_TRUE(K.cancelTimer(Victim));
+      },
+      browser::msToNs(5));
+  Victim = K.postAfter(Lane::Timer, [&] { Ran = true; }, browser::msToNs(5));
   drain(K, Clock);
   EXPECT_FALSE(Ran);
+  EXPECT_FALSE(K.timerPending(Victim));
+  EXPECT_FALSE(K.cancelTimer(Victim)) << "a skipped timer stays cancelled";
+  EXPECT_EQ(K.lane(Lane::Timer).CancelledSkipped->value(), 1u);
+  EXPECT_EQ(K.lane(Lane::Timer).Dispatched->value(), 1u);
 }
 
 TEST(Kernel, CancelTimerByHandle) {
@@ -134,7 +131,9 @@ TEST(Kernel, CancelTimerByHandle) {
   bool Ran = false;
   uint64_t H = K.postAfter(Lane::Timer, [&] { Ran = true; },
                            browser::msToNs(10));
+  EXPECT_TRUE(K.timerPending(H));
   EXPECT_TRUE(K.cancelTimer(H));
+  EXPECT_FALSE(K.timerPending(H));
   EXPECT_FALSE(K.cancelTimer(H)) << "second cancel is a no-op";
   EXPECT_FALSE(K.cancelTimer(9999)) << "unknown handle is a no-op";
   drain(K, Clock);
@@ -143,11 +142,10 @@ TEST(Kernel, CancelTimerByHandle) {
 }
 
 TEST(Kernel, CancelledEntriesDoNotAccumulate) {
-  // The clearTimeout regression (satellite): the old event loop kept
-  // Cancelled entries in its timer vector until their due time passed —
-  // a server arming and cancelling far-future timers grew without bound.
-  // The kernel reaps on promotion and compacts when cancelled entries
-  // outnumber live ones.
+  // A server arming and cancelling far-future timers must not grow the
+  // heap without bound (an event loop that kept cancelled entries until
+  // their due time did). The kernel reaps on promotion and compacts when
+  // cancelled entries outnumber live ones.
   browser::VirtualClock Clock;
   Kernel K(Clock);
   for (int I = 0; I < 10000; ++I) {
@@ -244,32 +242,17 @@ TEST(Kernel, CountersAggregatePerLane) {
   EXPECT_STREQ(laneName(Lane::Background), "background");
 }
 
-TEST(Kernel, CancelSourceResetRearms) {
-  browser::VirtualClock Clock;
-  Kernel K(Clock);
-  CancelSource Src;
-  bool OldRan = false, NewRan = false;
-  K.post(Lane::Resume, [&] { OldRan = true; }, Src.token());
-  Src.cancel();
-  Src.reset();
-  K.post(Lane::Resume, [&] { NewRan = true; }, Src.token());
-  drain(K, Clock);
-  EXPECT_FALSE(OldRan) << "pre-reset tokens stay cancelled";
-  EXPECT_TRUE(NewRan) << "post-reset tokens are fresh";
-  EXPECT_FALSE(CancelToken().attached());
-  EXPECT_TRUE(Src.token().attached());
-}
-
 // --- Facade integration: the browser event loop over kernel lanes. ------===//
 
 TEST(EventLoopFacade, ClearTimeoutReapsFarFutureTimers) {
-  // Regression for the satellite bug at the EventLoop level: clearTimeout
-  // used to leave Cancelled entries in the timer vector until their due
-  // time arrived; with kernel handles they are reaped eagerly.
+  // The same bound at the EventLoop level, cancelling through
+  // TimerHandles: cancelled far-future timers are reaped eagerly instead
+  // of lingering until their due time.
   browser::BrowserEnv Env(browser::chromeProfile());
   for (int I = 0; I < 10000; ++I) {
-    uint64_t H = Env.loop().setTimeout([] {}, browser::msToNs(100000 + I));
-    Env.loop().clearTimeout(H);
+    browser::TimerHandle H = Env.loop().postAfter(
+        Lane::Timer, [] {}, browser::msToNs(100000 + I));
+    EXPECT_TRUE(H.cancel());
   }
   const kernel::Kernel &K = Env.loop().kernel();
   EXPECT_EQ(K.pendingTimers(), 0u);
@@ -283,9 +266,8 @@ TEST(EventLoopFacade, InputLanePreemptsQueuedBackgroundTasks) {
   browser::BrowserEnv Env(browser::chromeProfile());
   std::vector<std::string> Order;
   for (int I = 0; I < 10; ++I)
-    Env.loop().enqueueTask([&] { Order.push_back("task"); });
-  Env.loop().enqueueTask([&] { Order.push_back("input"); },
-                         browser::EventKind::Input);
+    Env.loop().post(Lane::Background, [&] { Order.push_back("task"); });
+  Env.loop().post(Lane::Input, [&] { Order.push_back("input"); });
   Env.loop().run();
   ASSERT_EQ(Order.size(), 11u);
   EXPECT_EQ(Order.front(), "input");
@@ -293,8 +275,8 @@ TEST(EventLoopFacade, InputLanePreemptsQueuedBackgroundTasks) {
 
 TEST(EventLoopFacade, StatsShapePreservedAndTraceExported) {
   browser::BrowserEnv Env(browser::chromeProfile());
-  Env.loop().enqueueTask(
-      [&] { Env.clock().chargeNs(browser::msToNs(10)); });
+  Env.loop().post(Lane::Background,
+                  [&] { Env.clock().chargeNs(browser::msToNs(10)); });
   Env.loop().run();
   const browser::EventLoop::Cells &S = Env.loop().cells();
   EXPECT_EQ(S.EventsRun->value(), 1u);
@@ -304,17 +286,6 @@ TEST(EventLoopFacade, StatsShapePreservedAndTraceExported) {
   // Every facade dispatch reaches the kernel trace.
   EXPECT_EQ(Env.loop().kernel().trace().recorded(), 1u);
   EXPECT_EQ(totalDispatched(Env.loop().kernel()), 1u);
-}
-
-TEST(EventLoopFacade, PostAfterWithTokenSkipsCancelledWork) {
-  browser::BrowserEnv Env(browser::chromeProfile());
-  kernel::CancelSource Src;
-  bool Ran = false;
-  Env.loop().postAfter(kernel::Lane::Timer, [&] { Ran = true; },
-                       browser::msToNs(1), Src.token());
-  Src.cancel();
-  Env.loop().run();
-  EXPECT_FALSE(Ran);
 }
 
 } // namespace

@@ -326,7 +326,8 @@ TEST(Server, PipelinedResponsesKeepRequestOrder) {
   // request ids, so the server must still respond in request order.
   R.Srv->router().handle(
       "slow", [&R](const frame::Request &, Router::RespondFn Respond) {
-        R.Env.loop().scheduleAfter(
+        R.Env.loop().postAfter(
+            kernel::Lane::IoCompletion,
             [Respond = std::move(Respond)] {
               Respond(frame::Status::Ok, bytesOf("slow-done"));
             },
@@ -362,7 +363,8 @@ TEST(Server, ConnectionCapBackpressuresIntoBacklogAndRefusal) {
     Clients.push_back(std::make_unique<FrameClient>(R.Env.net()));
   for (int I = 0; I < 4; ++I) {
     FrameClient &C = *Clients[I];
-    R.Env.loop().scheduleAfter(
+    R.Env.loop().postAfter(
+        kernel::Lane::IoCompletion,
         [&, I] {
           C.connect(7000, [&, I](bool Ok) {
             Ok ? ++Connected : ++ConnRefused;
@@ -381,10 +383,10 @@ TEST(Server, ConnectionCapBackpressuresIntoBacklogAndRefusal) {
         browser::usToNs(100) * (I + 1));
   }
   // Free a slot well after all four connects settled.
-  R.Env.loop().scheduleAfter([&] { Clients[0]->close(); },
-                             browser::msToNs(20));
-  R.Env.loop().scheduleAfter([&] { Clients[1]->close(); },
-                             browser::msToNs(30));
+  R.Env.loop().postAfter(kernel::Lane::IoCompletion,
+                         [&] { Clients[0]->close(); }, browser::msToNs(20));
+  R.Env.loop().postAfter(kernel::Lane::IoCompletion,
+                         [&] { Clients[1]->close(); }, browser::msToNs(30));
   R.Env.loop().run();
   EXPECT_EQ(Connected, 3); // Fabric-level accepts: 2 active + 1 queued.
   EXPECT_EQ(ConnRefused, 1);
@@ -419,7 +421,8 @@ TEST(Server, GracefulShutdownDrainsInFlightAndRefusesNewcomers) {
   ServerRig R;
   R.Srv->router().handle(
       "slow", [&R](const frame::Request &, Router::RespondFn Respond) {
-        R.Env.loop().scheduleAfter(
+        R.Env.loop().postAfter(
+            kernel::Lane::IoCompletion,
             [Respond = std::move(Respond)] {
               Respond(frame::Status::Ok, bytesOf("drained-reply"));
             },
@@ -436,13 +439,15 @@ TEST(Server, GracefulShutdownDrainsInFlightAndRefusesNewcomers) {
     });
   });
   // Shut down while the slow request is in flight.
-  R.Env.loop().scheduleAfter(
+  R.Env.loop().postAfter(
+      kernel::Lane::IoCompletion,
       [&] { R.Srv->shutdown([&] { Events.push_back("drained"); }); },
       browser::msToNs(2));
   // A latecomer during the drain is refused outright.
   FrameClient B(R.Env.net());
   bool LateRefused = false;
-  R.Env.loop().scheduleAfter(
+  R.Env.loop().postAfter(
+      kernel::Lane::IoCompletion,
       [&] { B.connect(7000, [&](bool Ok) { LateRefused = !Ok; }); },
       browser::msToNs(4));
   R.Env.loop().run();
@@ -515,7 +520,8 @@ TEST(Server, ShutdownDuringDrainChainsCompletions) {
   ServerRig R;
   R.Srv->router().handle(
       "slow", [&R](const frame::Request &, Router::RespondFn Respond) {
-        R.Env.loop().scheduleAfter(
+        R.Env.loop().postAfter(
+            kernel::Lane::IoCompletion,
             [Respond = std::move(Respond)] {
               Respond(frame::Status::Ok, {});
             },
@@ -527,12 +533,14 @@ TEST(Server, ShutdownDuringDrainChainsCompletions) {
     C.request("slow", {}, [](frame::Response) {});
   });
   std::vector<int> Fired;
-  R.Env.loop().scheduleAfter(
+  R.Env.loop().postAfter(
+      kernel::Lane::IoCompletion,
       [&] { R.Srv->shutdown([&] { Fired.push_back(1); }); },
       browser::msToNs(2));
   // A second shutdown mid-drain joins the first: both callbacks fire once
   // the drain actually completes, in order.
-  R.Env.loop().scheduleAfter(
+  R.Env.loop().postAfter(
+      kernel::Lane::IoCompletion,
       [&] { R.Srv->shutdown([&] { Fired.push_back(2); }); },
       browser::msToNs(4));
   R.Env.loop().run();

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -41,13 +42,16 @@ Bytes bytesOf(const std::string &S) { return Bytes(S.begin(), S.end()); }
 
 std::string textOf(const Bytes &B) { return std::string(B.begin(), B.end()); }
 
-/// A value of \p N bytes whose content is derived from \p Seed. The
-/// (I >> 8) term breaks the byte pattern's 256-periodicity so distinct
-/// 16 KB blocks of one value never dedup against each other.
+/// A value of \p N pseudo-random bytes derived from \p Seed. No 16 KB
+/// block repeats within one value or across values of different seeds,
+/// so content-addressed blocks dedup only where a test repeats a value.
+/// (Any byte pattern linear in the offset makes every block a shifted
+/// copy of one block: at most 256 distinct blocks in all.)
 Bytes blob(size_t N, uint8_t Seed) {
+  std::mt19937 Gen(Seed);
   Bytes B(N);
-  for (size_t I = 0; I != N; ++I)
-    B[I] = static_cast<uint8_t>(Seed + I * 131 + (I >> 8) * 7);
+  for (uint8_t &Byte : B)
+    Byte = static_cast<uint8_t>(Gen());
   return B;
 }
 
@@ -407,24 +411,6 @@ TEST(CachedStore, ReloadRecoversFromJournalReplay) {
   EXPECT_EQ(textOf(*V), "beta2");
 }
 
-TEST(CachedStore, UnjournaledModePersistsViaDirectorySnapshots) {
-  BrowserEnv Env(chromeProfile());
-  CacheConfig C = quiescentConfig();
-  C.Journaled = false;
-  {
-    CachedKvStore Writer(Env, std::make_unique<fs::IndexedDbKv>(Env), C);
-    drain(Env);
-    ASSERT_FALSE(putKv(Env, Writer, "x", bytesOf("snapshotted")).has_value());
-    ASSERT_FALSE(syncKv(Env, Writer).has_value());
-  }
-  CachedKvStore Reader(Env, std::make_unique<fs::IndexedDbKv>(Env), C);
-  drain(Env);
-  auto V = getKv(Env, Reader, "x");
-  ASSERT_TRUE(V.has_value());
-  EXPECT_EQ(textOf(*V), "snapshotted");
-  EXPECT_EQ(Reader.stats().ReplayedCommits, 0u); // No journal to replay.
-}
-
 TEST(CachedStore, CheckpointTruncatesJournalAndCollectsGarbage) {
   BrowserEnv Env(chromeProfile());
   CacheConfig C = quiescentConfig();
@@ -532,6 +518,10 @@ TEST_P(QuotaEnospc, SurfacesThroughTheCacheToo) {
   fs::FileSystem Fs(Env, Proc, std::move(Backend));
 
   size_t FileBytes = GetParam() == "localstorage" ? 512 * 1024 : 48 * 1024;
+  // The quota must be reached by distinct data: no value repeats a block.
+  Manifest M = makeManifest(blob(FileBytes, 0), quiescentConfig().BlockBytes);
+  EXPECT_EQ(std::set<BlockId>(M.Blocks.begin(), M.Blocks.end()).size(),
+            M.Blocks.size());
   std::optional<ApiError> Err = fillUntilError(Env, Fs, FileBytes, 32);
   ASSERT_TRUE(Err.has_value());
   EXPECT_EQ(Err->Code, Errno::NoSpace) << Err->message();
@@ -579,6 +569,25 @@ TEST(CachedStore, QuotaPressureEvictionPerProfile) {
     ASSERT_TRUE(V.has_value());
     EXPECT_EQ(*V, blob(64 * 1024, 5));
   }
+}
+
+TEST(CachedStore, QuotaBillsARepeatedBlockOnce) {
+  // 64 KB of zeros is one distinct 16 KB block stored once: the quota
+  // projection must bill it once, not once per occurrence (which would
+  // be 64 KB against a 40 KB quota).
+  BrowserEnv Env(chromeProfile());
+  auto Slow = std::make_unique<fs::CloudKv>(Env);
+  Slow->setQuotaBytes(40 * 1024);
+  CachedKvStore Store(Env, std::move(Slow), quiescentConfig());
+  drain(Env);
+  ASSERT_TRUE(Store.ready());
+  Bytes Zeros(64 * 1024, 0);
+  ASSERT_FALSE(putKv(Env, Store, "zeros", Zeros).has_value());
+  ASSERT_FALSE(syncKv(Env, Store).has_value());
+  EXPECT_EQ(Store.stats().QuotaRejects, 0u);
+  auto V = getKv(Env, Store, "zeros");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(*V, Zeros);
 }
 
 /// Overwrites chained faster than the Background-lane flush timer can

@@ -36,11 +36,25 @@ TEST(ResumeMechanism, ChoiceMatchesSection44) {
             ResumeMechanism::SetTimeout);
 }
 
+// The event loop never clamps a delay; the 4 ms setTimeout clamp lives in
+// the Suspender's setTimeout mechanism, so its EventLoop test lives here.
+TEST(EventLoop, SetTimeoutAppliesFourMillisecondClamp) {
+  // §4.4: even with a requested delay of 0 the spec imposes >= 4 ms, which
+  // is what makes setTimeout unacceptable for suspend-and-resume.
+  BrowserEnv Env(chromeProfile());
+  Suspender Susp(Env);
+  Susp.forceMechanism(ResumeMechanism::SetTimeout);
+  uint64_t FiredAt = 0;
+  Susp.scheduleResumption([&] { FiredAt = Env.clock().nowNs(); });
+  Env.loop().run();
+  EXPECT_GE(FiredAt, msToNs(4));
+}
+
 TEST(Suspender, ResumptionRunsAsSeparateEvent) {
   BrowserEnv Env(chromeProfile());
   Suspender Susp(Env);
   std::vector<int> Order;
-  Env.loop().enqueueTask([&] {
+  Env.loop().post(kernel::Lane::Background, [&] {
     Susp.scheduleResumption([&] { Order.push_back(2); });
     Order.push_back(1);
   });
@@ -53,8 +67,8 @@ TEST(Suspender, TracksSuspendedTime) {
   // Figure 5's measurement: time between scheduling and resumption.
   BrowserEnv Env(ie8Profile()); // setTimeout: at least the 4 ms clamp.
   Suspender Susp(Env);
-  Env.loop().enqueueTask(
-      [&] { Susp.scheduleResumption([] {}); });
+  Env.loop().post(kernel::Lane::Background,
+                  [&] { Susp.scheduleResumption([] {}); });
   Env.loop().run();
   EXPECT_GE(Susp.totalSuspendedNs(), msToNs(4));
 }
@@ -62,7 +76,8 @@ TEST(Suspender, TracksSuspendedTime) {
 TEST(Suspender, SendMessageResumptionIsFast) {
   BrowserEnv Env(chromeProfile());
   Suspender Susp(Env);
-  Env.loop().enqueueTask([&] { Susp.scheduleResumption([] {}); });
+  Env.loop().post(kernel::Lane::Background,
+                  [&] { Susp.scheduleResumption([] {}); });
   Env.loop().run();
   EXPECT_LT(Susp.totalSuspendedNs(), msToNs(1))
       << "sendMessage avoids the 4 ms clamp (§4.4)";
@@ -74,7 +89,8 @@ TEST(Suspender, MechanismLatencyOrdering) {
     BrowserEnv Env(P);
     Suspender Susp(Env);
     Susp.forceMechanism(M);
-    Env.loop().enqueueTask([&] { Susp.scheduleResumption([] {}); });
+    Env.loop().post(kernel::Lane::Background,
+                    [&] { Susp.scheduleResumption([] {}); });
     Env.loop().run();
     return Susp.totalSuspendedNs();
   };
@@ -94,7 +110,7 @@ TEST(Suspender, ForcedSendMessageOnIe8NeverYields) {
   Suspender Susp(Env);
   Susp.forceMechanism(ResumeMechanism::SendMessage);
   std::vector<int> Order;
-  Env.loop().enqueueTask([&] {
+  Env.loop().post(kernel::Lane::Background, [&] {
     Susp.scheduleResumption([&] { Order.push_back(1); });
     Order.push_back(2);
   });
@@ -262,8 +278,9 @@ TEST(ThreadPool, InputStaysResponsiveDuringLongComputation) {
   Pool.spawn(std::make_unique<WorkThread>(Env, Susp, 100000, Journal, 1));
   // User input arriving throughout the ~5 s computation.
   for (int I = 1; I <= 40; ++I)
-    Env.loop().setTimeout([&] { Env.clock().chargeNs(usToNs(200)); },
-                          msToNs(100) * I, EventKind::Input);
+    Env.loop().postAfter(kernel::Lane::Input,
+                         [&] { Env.clock().chargeNs(usToNs(200)); },
+                         msToNs(100) * I);
   Env.loop().run();
   EXPECT_EQ(Journal.size(), 100000u);
   EXPECT_LT(Env.loop().cells().MaxInputLatencyNs->value(), msToNs(50))
@@ -289,7 +306,8 @@ public:
       // unblocks this thread, emulating a synchronous call (§4.2).
       Bridge.blockOn(Pool.currentThread(),
                      [this](std::function<void()> Resume) {
-                       Env.loop().scheduleAfter(
+                       Env.loop().postAfter(
+                           kernel::Lane::IoCompletion,
                            [this, Resume] {
                              Result = 42;
                              Resume();
@@ -365,12 +383,15 @@ public:
       Stage = 1;
       Bridge.blockOn(Pool.currentThread(),
                      [this](std::function<void()> Resume) {
-                       Env.loop().scheduleAfter([this, Resume] {
-                         Result = 42;
-                         Resume();
-                       }, msToNs(3));
-                       Env.loop().scheduleAfter([Resume] { Resume(); },
-                                                msToNs(5));
+                       Env.loop().postAfter(kernel::Lane::IoCompletion,
+                                            [this, Resume] {
+                                              Result = 42;
+                                              Resume();
+                                            },
+                                            msToNs(3));
+                       Env.loop().postAfter(kernel::Lane::IoCompletion,
+                                            [Resume] { Resume(); },
+                                            msToNs(5));
                      });
       return RunOutcome::Blocked;
     case 1:
@@ -438,8 +459,9 @@ TEST(AsyncBridge, CompletionArrivingDuringWatchdogOverrunStillUnblocks) {
   BlockingReadThread *Raw = Thread.get();
   ThreadPool::ThreadId Id = Pool.spawn(std::move(Thread));
   // The runaway event: overruns the watchdog while the completion is due.
-  Env.loop().enqueueTask(
-      [&] { Env.clock().chargeNs(Env.profile().WatchdogLimitNs + msToNs(1)); });
+  Env.loop().post(kernel::Lane::Background, [&] {
+    Env.clock().chargeNs(Env.profile().WatchdogLimitNs + msToNs(1));
+  });
   Env.loop().run();
   EXPECT_TRUE(Env.loop().watchdogFired());
   EXPECT_EQ(Raw->sawResult(), 42);

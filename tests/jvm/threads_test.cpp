@@ -426,8 +426,8 @@ TEST(Segmentation, LongJvmComputationKeepsPageResponsive) {
   Rig.addClass(B);
   // Synthetic user input throughout the run.
   for (int I = 1; I <= 20; ++I)
-    Rig.Env.loop().setTimeout([] {}, browser::msToNs(40) * I,
-                              browser::EventKind::Input);
+    Rig.Env.loop().postAfter(kernel::Lane::Input, [] {},
+                             browser::msToNs(40) * I);
   EXPECT_EQ(Rig.run("Main"), 0);
   EXPECT_EQ(Rig.out(), "2000000\n");
   EXPECT_FALSE(Rig.Env.loop().watchdogFired())

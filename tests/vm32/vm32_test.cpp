@@ -195,7 +195,7 @@ TEST(ShadowGame, DoppioModeSurvivesTheSameLongRun) {
   MiniVm Vm(Rig.Env, *Rig.Fs, buildShadowGame(Config), HostMode::DoppioRt);
   // Synthetic user input throughout.
   for (int I = 1; I <= 30; ++I)
-    Rig.Env.loop().setTimeout([] {}, msToNs(300) * I, EventKind::Input);
+    Rig.Env.loop().postAfter(kernel::Lane::Input, [] {}, msToNs(300) * I);
   Vm.start();
   Rig.Env.loop().run();
   EXPECT_EQ(Vm.status(), Vm32Status::Finished) << Vm.faultReason();
