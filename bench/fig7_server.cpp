@@ -170,14 +170,14 @@ void printFigure7() {
            R.Client.requestsPerSecond(),
            static_cast<double>(R.Client.p50Ns()) / 1e3,
            static_cast<double>(R.Client.p99Ns()) / 1e3,
-           static_cast<double>(R.Stats.p99Ns()) / 1e3,
+           static_cast<double>(R.Stats.ServiceP99Ns) / 1e3,
            static_cast<unsigned long long>(R.Stats.Refused),
            Ok ? "clean" : "FAIL");
     Json.row(P.Name)
         .metric("req_per_s", R.Client.requestsPerSecond())
         .metric("p50_us", static_cast<double>(R.Client.p50Ns()) / 1e3)
         .metric("p99_us", static_cast<double>(R.Client.p99Ns()) / 1e3)
-        .metric("srv_p99_us", static_cast<double>(R.Stats.p99Ns()) / 1e3)
+        .metric("srv_p99_us", static_cast<double>(R.Stats.ServiceP99Ns) / 1e3)
         .metric("refused", static_cast<double>(R.Stats.Refused))
         .metric("drain_clean", Ok ? 1 : 0)
         .metric("spans_finished", static_cast<double>(R.SpansFinished))

@@ -183,8 +183,8 @@ ShardSnapshot Shard::snapshot() {
   S.RequestErrors = St.RequestErrors;
   S.BytesIn = St.BytesIn;
   S.BytesOut = St.BytesOut;
-  S.ServiceP50Ns = St.p50Ns();
-  S.ServiceP99Ns = St.p99Ns();
+  S.ServiceP50Ns = St.ServiceP50Ns;
+  S.ServiceP99Ns = St.ServiceP99Ns;
   S.ProcsSpawned = Procs->spawned();
   S.Zombies = Procs->zombies();
   S.VirtualNowNs = Env.clock().nowNs();

@@ -12,6 +12,9 @@ using namespace doppio::obs;
 
 namespace {
 
+/// Finite Prometheus `le` bounds per histogram: 1us * 2^i for i < 26.
+constexpr unsigned ExpositionBounds = 26;
+
 /// Mangles a dotted instrument name into the Prometheus alphabet.
 std::string promName(const std::string &Name) {
   std::string Out = "doppio_";
@@ -67,15 +70,19 @@ std::string obs::renderPrometheus(const Registry &R) {
   R.forEachHistogram([&](const std::string &Name, const Histogram &H) {
     std::string P = promName(Name);
     appendf(Out, "# TYPE %s histogram\n", P.c_str());
+    // Exposition bounds 1us * 2^i (~1us .. ~34s), then +Inf. Each bound
+    // is an exact bucket edge, so one pass yields exact cumulative counts.
     uint64_t Cum = 0;
-    for (size_t B = 0; B < Histogram::NumBuckets; ++B) {
-      Cum += H.buckets()[B];
-      if (B + 1 == Histogram::NumBuckets)
-        appendf(Out, "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", P.c_str(), Cum);
-      else
-        appendf(Out, "%s_bucket{le=\"%" PRIu64 "\"} %" PRIu64 "\n", P.c_str(),
-                Histogram::bucketBoundNs(B), Cum);
+    size_t B = 0;
+    for (unsigned I = 0; I < ExpositionBounds; ++I) {
+      uint64_t Le = 1000ull << I;
+      for (size_t Last = Histogram::bucketOf(Le); B <= Last; ++B)
+        Cum += H.buckets()[B];
+      appendf(Out, "%s_bucket{le=\"%" PRIu64 "\"} %" PRIu64 "\n", P.c_str(),
+              Le, Cum);
     }
+    appendf(Out, "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", P.c_str(),
+            H.count());
     appendf(Out, "%s_sum %" PRIu64 "\n%s_count %" PRIu64 "\n", P.c_str(),
             H.sumNs(), P.c_str(), H.count());
   });

@@ -19,31 +19,22 @@ uint64_t obs::percentileNs(const std::vector<uint64_t> &Samples, double Pct) {
   return Sorted[Rank];
 }
 
-uint64_t Histogram::bucketBoundNs(size_t I) {
-  if (I + 1 >= NumBuckets)
-    return UINT64_MAX;
-  return 1000ull << I; // 1us, 2us, 4us, ... ~34s.
-}
-
-void Histogram::record(uint64_t ValueNs) {
-  ++Count;
-  SumNs += ValueNs;
-  MaxNs = std::max(MaxNs, ValueNs);
-  size_t B = 0;
-  while (B + 1 < NumBuckets && ValueNs > bucketBoundNs(B))
-    ++B;
-  ++Buckets[B];
-  if (Opt.KeepSamples)
-    Samples.push_back(ValueNs);
+uint64_t Histogram::bucketUpperNs(size_t I) {
+  if (I <= SubBuckets)
+    return I;
+  // Invert bucketOf: I - 1 = (X >> Shift) + Shift * SubBuckets, where the
+  // mantissa X >> Shift lies in [SubBuckets, 2 * SubBuckets).
+  uint64_t J = I - 1;
+  unsigned Shift = static_cast<unsigned>(J / SubBuckets) - 1;
+  uint64_t Mant = J - Shift * SubBuckets;
+  // Largest V - 1 in the bucket; the top bucket's edge saturates.
+  uint64_t LastX = (Mant << Shift) + ((uint64_t(1) << Shift) - 1);
+  return LastX == UINT64_MAX ? UINT64_MAX : LastX + 1;
 }
 
 uint64_t Histogram::percentile(double Pct) const {
-  if (Opt.KeepSamples)
-    return percentileNs(Samples, Pct);
   if (Count == 0)
     return 0;
-  // Bucket approximation: the upper bound of the bucket containing the
-  // nearest-rank sample.
   uint64_t Rank = static_cast<uint64_t>(
       (Pct / 100.0) * static_cast<double>(Count - 1) + 0.5);
   if (Rank >= Count)
@@ -52,9 +43,14 @@ uint64_t Histogram::percentile(double Pct) const {
   for (size_t B = 0; B < NumBuckets; ++B) {
     Seen += Buckets[B];
     if (Seen > Rank)
-      return std::min(bucketBoundNs(B), MaxNs);
+      return std::min(bucketUpperNs(B), MaxNs);
   }
   return MaxNs;
+}
+
+const std::vector<uint64_t> &Histogram::samples() const {
+  static const std::vector<uint64_t> None;
+  return None;
 }
 
 void Histogram::reset() {
@@ -62,5 +58,4 @@ void Histogram::reset() {
   SumNs = 0;
   MaxNs = 0;
   Buckets.fill(0);
-  Samples.clear();
 }

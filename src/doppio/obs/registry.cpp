@@ -11,12 +11,8 @@ Counter &Registry::counter(const std::string &Name) {
 
 Gauge &Registry::gauge(const std::string &Name) { return Gauges[Name]; }
 
-Histogram &Registry::histogram(const std::string &Name,
-                               Histogram::Options O) {
-  auto It = Histograms.find(Name);
-  if (It != Histograms.end())
-    return It->second;
-  return Histograms.emplace(Name, Histogram(O)).first->second;
+Histogram &Registry::histogram(const std::string &Name) {
+  return Histograms[Name];
 }
 
 std::string Registry::claimPrefix(const std::string &Base) {

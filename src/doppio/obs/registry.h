@@ -58,8 +58,7 @@ public:
   /// reference is stable for the registry's lifetime.
   Counter &counter(const std::string &Name);
   Gauge &gauge(const std::string &Name);
-  Histogram &histogram(const std::string &Name,
-                       Histogram::Options O = Histogram::Options());
+  Histogram &histogram(const std::string &Name);
 
   /// True if an instrument of the given kind exists under \p Name.
   bool hasCounter(const std::string &Name) const { return Counters.count(Name); }

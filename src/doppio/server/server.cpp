@@ -277,6 +277,8 @@ ServerStats Server::stats() const {
   Out.BytesOut = BytesOutC->value();
   Out.RequestsServed = RequestsServedC->value();
   Out.RequestErrors = RequestErrorsC->value();
-  Out.ServiceNs = ServiceNsH->samples();
+  Out.ServiceCount = ServiceNsH->count();
+  Out.ServiceP50Ns = ServiceNsH->percentile(50.0);
+  Out.ServiceP99Ns = ServiceNsH->percentile(99.0);
   return Out;
 }

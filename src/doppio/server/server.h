@@ -84,9 +84,9 @@ public:
   void shutdown(std::function<void()> Done = nullptr);
 
   /// Counter snapshot (merges the socket's refusal count). Assembled from
-  /// this server's `server.*` registry cells; the service-time samples
-  /// come back verbatim from the server.service_ns histogram, so p50/p99
-  /// stay bit-identical to the pre-registry implementation.
+  /// this server's `server.*` registry cells; the service-time p50/p99
+  /// are read from the server.service_ns histogram in O(buckets),
+  /// whatever the request count.
   ServerStats stats() const;
 
   const Config &config() const { return Cfg; }
@@ -138,8 +138,7 @@ private:
   obs::Counter *BytesOutC = nullptr;
   obs::Counter *RequestsServedC = nullptr;
   obs::Counter *RequestErrorsC = nullptr;
-  /// Keeps exact samples: ServerStats::ServiceNs is served verbatim from
-  /// here, so fig7's percentiles cannot move.
+  /// Source of ServerStats' service-time count and percentiles.
   obs::Histogram *ServiceNsH = nullptr;
   std::map<uint64_t, std::unique_ptr<Conn>> Conns;
   uint64_t NextConnId = 1;

@@ -7,24 +7,22 @@
 /// \file
 /// The counter block a doppiod server exposes for benchmarks: connection
 /// accounting (accepted/refused/active), byte counters, request counters,
-/// and per-request service-time samples on the virtual clock from which the
-/// fig7 harness reports p50/p99 tail latency.
+/// and the p50/p99 service time on the virtual clock that the fig7 harness
+/// reports as tail latency.
 ///
 /// Server::stats() assembles it from the server's registry cells
 /// (`server.*`) plus the socket's live refusal count, which is why this
 /// view survives where the loop, kernel, fs and balancer expose their
-/// cells directly. The percentile math lives in obs::percentileNs, the
-/// one copy the whole repo shares.
+/// cells directly. The percentiles are read from the `server.service_ns`
+/// histogram, within its stated error bound (DESIGN.md §13); the struct
+/// is fixed-size however many requests were served.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DOPPIO_DOPPIO_SERVER_STATS_H
 #define DOPPIO_DOPPIO_SERVER_STATS_H
 
-#include "doppio/obs/metrics.h"
-
 #include <cstdint>
-#include <vector>
 
 namespace doppio {
 namespace rt {
@@ -49,12 +47,12 @@ struct ServerStats {
   uint64_t RequestsServed = 0; // Completed with Status::Ok.
   uint64_t RequestErrors = 0;  // Completed with any other status.
 
-  /// Virtual-clock service time of every completed request (arrival of the
-  /// full request frame to response send).
-  std::vector<uint64_t> ServiceNs;
-
-  uint64_t p50Ns() const { return obs::percentileNs(ServiceNs, 50.0); }
-  uint64_t p99Ns() const { return obs::percentileNs(ServiceNs, 99.0); }
+  /// Virtual-clock service time (arrival of the full request frame to
+  /// response send): how many completed requests were timed, and their
+  /// p50/p99 from the server.service_ns histogram.
+  uint64_t ServiceCount = 0;
+  uint64_t ServiceP50Ns = 0;
+  uint64_t ServiceP99Ns = 0;
 };
 
 } // namespace server

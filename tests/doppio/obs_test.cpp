@@ -17,6 +17,12 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <cmath>
+#include <random>
+#include <sstream>
+#include <type_traits>
+
 using namespace doppio;
 using namespace doppio::rt;
 using namespace doppio::browser;
@@ -51,40 +57,100 @@ TEST(Instruments, CounterAndGaugeBasics) {
   EXPECT_EQ(G.value(), 25);
 }
 
-TEST(Instruments, HistogramExactPercentilesMatchLegacyMath) {
+/// True when \p Got lies within the stated bound of the exact value \p E:
+/// E <= Got <= E * (1 + 2^-SubBits).
+bool withinBound(uint64_t Got, uint64_t E) {
+  return E <= Got && Got * obs::Histogram::SubBuckets <=
+                         E * (obs::Histogram::SubBuckets + 1);
+}
+
+/// A seeded stream whose values are log-uniform over 1ns .. 100s.
+std::vector<uint64_t> logUniformStream(uint64_t Seed, size_t N) {
+  std::mt19937_64 Rng(Seed);
+  std::uniform_real_distribution<double> Exp(0.0, std::log2(1e11));
+  std::vector<uint64_t> Out;
+  for (size_t I = 0; I < N; ++I)
+    Out.push_back(static_cast<uint64_t>(std::exp2(Exp(Rng))));
+  return Out;
+}
+
+TEST(Instruments, HistogramPercentilesWithinStatedBound) {
+  const double Pcts[] = {0, 50, 90, 99, 99.9, 100};
+  for (uint64_t Seed : {1, 2, 3, 4}) {
+    std::vector<uint64_t> Values = logUniformStream(Seed, 5000);
+    obs::Histogram H;
+    uint64_t Sum = 0;
+    for (uint64_t V : Values) {
+      H.record(V);
+      Sum += V;
+    }
+    EXPECT_EQ(H.count(), Values.size());
+    EXPECT_EQ(H.sumNs(), Sum);
+    EXPECT_EQ(H.maxNs(), *std::max_element(Values.begin(), Values.end()));
+    for (double P : Pcts) {
+      uint64_t E = obs::percentileNs(Values, P);
+      EXPECT_TRUE(withinBound(H.percentile(P), E))
+          << "seed " << Seed << " p" << P << ": exact " << E << ", got "
+          << H.percentile(P);
+    }
+  }
+  // At or below 2^SubBits every value has a bucket of its own: exact.
+  std::mt19937_64 Rng(5);
+  std::vector<uint64_t> Small;
   obs::Histogram H;
-  std::vector<uint64_t> Values{50000, 10000, 40000, 20000, 30000};
-  for (uint64_t V : Values)
-    H.record(V);
-  EXPECT_EQ(H.count(), 5u);
-  EXPECT_EQ(H.sumNs(), 150000u);
-  EXPECT_EQ(H.maxNs(), 50000u);
-  // KeepSamples default: percentile() is the exact nearest-rank result,
-  // bit-identical to what the fig6/fig7 harnesses always computed.
-  EXPECT_EQ(H.percentile(50.0), obs::percentileNs(Values, 50.0));
-  EXPECT_EQ(H.percentile(99.0), obs::percentileNs(Values, 99.0));
-  EXPECT_EQ(H.samples(), Values);
+  for (int I = 0; I < 1000; ++I) {
+    Small.push_back(Rng() % (obs::Histogram::SubBuckets + 1));
+    H.record(Small.back());
+  }
+  for (double P : Pcts)
+    EXPECT_EQ(H.percentile(P), obs::percentileNs(Small, P)) << "p" << P;
 }
 
 TEST(Instruments, HistogramBucketsAreCumulativeAndCoverEverything) {
-  obs::Histogram H(obs::Histogram::Options{/*KeepSamples=*/false});
-  H.record(500);            // < 1us: first bucket.
-  H.record(3000);           // ~3us.
-  H.record(1ull << 40);     // Far beyond the last finite bound: +Inf bucket.
-  EXPECT_TRUE(H.samples().empty());
-  EXPECT_EQ(H.count(), 3u);
+  obs::Histogram H;
+  H.record(0);
+  H.record(500);
+  H.record(3000);
+  H.record(1ull << 40);
+  H.record(UINT64_MAX);
+  EXPECT_EQ(H.count(), 5u);
   uint64_t Total = 0;
   for (uint64_t B : H.buckets())
     Total += B;
-  EXPECT_EQ(Total, 3u); // Buckets are per-bucket counts; nothing dropped.
-  // Bounds are monotonically increasing and end at +Inf.
-  for (size_t I = 1; I < obs::Histogram::NumBuckets; ++I)
-    EXPECT_GT(obs::Histogram::bucketBoundNs(I),
-              obs::Histogram::bucketBoundNs(I - 1));
-  EXPECT_EQ(obs::Histogram::bucketBoundNs(obs::Histogram::NumBuckets - 1),
+  EXPECT_EQ(Total, 5u); // Buckets are per-bucket counts; nothing dropped.
+  EXPECT_EQ(obs::Histogram::bucketOf(UINT64_MAX),
+            obs::Histogram::NumBuckets - 1);
+  // Upper edges rise strictly and end at UINT64_MAX; every bucket holds
+  // its own upper edge and none of the one below.
+  for (size_t I = 0; I < obs::Histogram::NumBuckets; ++I) {
+    uint64_t Hi = obs::Histogram::bucketUpperNs(I);
+    EXPECT_EQ(obs::Histogram::bucketOf(Hi), I);
+    if (I > 0) {
+      EXPECT_GT(Hi, obs::Histogram::bucketUpperNs(I - 1));
+      EXPECT_EQ(obs::Histogram::bucketOf(obs::Histogram::bucketUpperNs(I - 1) +
+                                         1),
+                I);
+    }
+  }
+  EXPECT_EQ(obs::Histogram::bucketUpperNs(obs::Histogram::NumBuckets - 1),
             UINT64_MAX);
-  // Without samples, percentile degrades to the bucket upper bound.
-  EXPECT_EQ(H.percentile(50.0), obs::Histogram::bucketBoundNs(2));
+  // Every exposition bound 1us * 2^i is an exact bucket edge.
+  for (unsigned I = 0; I < 26; ++I)
+    EXPECT_EQ(obs::Histogram::bucketUpperNs(
+                  obs::Histogram::bucketOf(1000ull << I)),
+              1000ull << I);
+  // 3000 lands in a bucket of width 32 whose upper edge is 3008.
+  EXPECT_EQ(H.percentile(50.0), 3008u);
+  EXPECT_EQ(H.percentile(100.0), UINT64_MAX);
+  // The inline bucket array is the whole footprint: nothing is retained.
+  EXPECT_TRUE(H.samples().empty());
+  static_assert(std::is_trivially_copyable_v<obs::Histogram>);
+  static_assert(sizeof(obs::Histogram) ==
+                (3 + obs::Histogram::NumBuckets) * sizeof(uint64_t));
+  static_assert(sizeof(obs::Histogram) <= 32 * 1024);
+  H.reset();
+  EXPECT_EQ(H.count(), 0u);
+  EXPECT_EQ(H.percentile(50.0), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -280,6 +346,37 @@ TEST(Exposition, PrometheusCarriesEveryInstrumentKind) {
   EXPECT_NE(Text.find("doppio_fs_op_ns_bucket"), std::string::npos);
   EXPECT_NE(Text.find("le=\"+Inf\""), std::string::npos);
   EXPECT_NE(Text.find("doppio_spans_started 0"), std::string::npos);
+}
+
+TEST(Exposition, PrometheusLeCountsAreExact) {
+  VirtualClock Clock;
+  obs::Registry Reg(Clock);
+  obs::Histogram &H = Reg.histogram("h");
+  std::vector<uint64_t> Values = logUniformStream(7, 4000);
+  // Values on and beside every bound, where an inexact edge would show.
+  for (unsigned I = 0; I < 26; ++I) {
+    uint64_t B = 1000ull << I;
+    Values.insert(Values.end(), {B - 1, B, B + 1});
+  }
+  for (uint64_t V : Values)
+    H.record(V);
+  std::istringstream Text(obs::renderPrometheus(Reg));
+  std::string Line;
+  size_t Bounds = 0;
+  while (std::getline(Text, Line)) {
+    const std::string Prefix = "doppio_h_bucket{le=\"";
+    if (Line.rfind(Prefix, 0) != 0)
+      continue;
+    size_t Close = Line.find('"', Prefix.size());
+    std::string Le = Line.substr(Prefix.size(), Close - Prefix.size());
+    uint64_t Got = std::stoull(Line.substr(Line.rfind(' ') + 1));
+    uint64_t Bound = Le == "+Inf" ? UINT64_MAX : std::stoull(Le);
+    uint64_t Want = std::count_if(Values.begin(), Values.end(),
+                                  [&](uint64_t V) { return V <= Bound; });
+    EXPECT_EQ(Got, Want) << "le=" << Le;
+    ++Bounds;
+  }
+  EXPECT_EQ(Bounds, 27u);
 }
 
 TEST(Exposition, JsonCarriesSpansWithParentLinks) {
