@@ -3,16 +3,13 @@
 // DESIGN.md ablation #4: Buffer's packed binary-string codec (2 bytes per
 // UTF-16 code unit on non-validating engines) versus the 1-byte-per-char
 // fallback forced by validating engines. Reports storage amplification
-// against the localStorage quota per browser, plus real-host codec
-// throughput for every encoding.
+// against the localStorage quota per browser.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench_util.h"
 
 #include "doppio/buffer.h"
-
-#include <benchmark/benchmark.h>
 
 using namespace doppio;
 using namespace doppio::rt;
@@ -52,39 +49,9 @@ void printAblation() {
          " localStorage capacity for binary data, §5.1)\n\n");
 }
 
-template <Encoding E> void BM_Encode(benchmark::State &State) {
-  browser::BrowserEnv Env(browser::chromeProfile());
-  std::vector<uint8_t> Payload(State.range(0));
-  for (size_t I = 0; I != Payload.size(); ++I)
-    Payload[I] = static_cast<uint8_t>(I * 31);
-  Buffer B(Env, Payload);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(B.toString(E));
-  State.SetBytesProcessed(State.iterations() * State.range(0));
-}
-
-template <Encoding E> void BM_Decode(benchmark::State &State) {
-  browser::BrowserEnv Env(browser::chromeProfile());
-  std::vector<uint8_t> Payload(State.range(0));
-  Buffer B(Env, Payload);
-  js::String Text = B.toString(E);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(Buffer::fromString(Env, Text, E));
-  State.SetBytesProcessed(State.iterations() * State.range(0));
-}
-
 } // namespace
 
-BENCHMARK(BM_Encode<Encoding::BinaryString>)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_Decode<Encoding::BinaryString>)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_Encode<Encoding::Base64>)->Arg(4096);
-BENCHMARK(BM_Decode<Encoding::Base64>)->Arg(4096);
-BENCHMARK(BM_Encode<Encoding::Hex>)->Arg(4096);
-BENCHMARK(BM_Encode<Encoding::Utf8>)->Arg(4096);
-
-int main(int argc, char **argv) {
+int main() {
   printAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,8 @@
 //
 // DESIGN.md ablation #3: the unmanaged heap over a typed array
 // (ArrayBuffer) versus a plain JavaScript number array. Reports the
-// virtual-time cost per browser and real-host throughput of the allocator
-// and the copy-in/copy-out accessors.
+// virtual-time cost per browser, and the sweep's checksum so that the
+// comparer pins the work the sweep does.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,15 +11,18 @@
 
 #include "doppio/heap.h"
 
-#include <benchmark/benchmark.h>
-
 using namespace doppio;
 using namespace doppio::rt;
 
 namespace {
 
+struct SweepResult {
+  uint64_t VirtualNs = 0;
+  uint64_t Checksum = 0; ///< Sum of one word read back per block.
+};
+
 /// A fixed workload over one heap: allocate, fill, read back, free.
-uint64_t heapSweep(browser::BrowserEnv &Env, int Blocks) {
+SweepResult heapSweep(browser::BrowserEnv &Env, int Blocks) {
   UnmanagedHeap Heap(Env, 1u << 20);
   uint64_t Start = Env.clock().nowNs();
   std::vector<UnmanagedHeap::Addr> Live;
@@ -39,8 +42,7 @@ uint64_t heapSweep(browser::BrowserEnv &Env, int Blocks) {
   }
   for (UnmanagedHeap::Addr A : Live)
     Heap.free(A);
-  benchmark::DoNotOptimize(Checksum);
-  return Env.clock().nowNs() - Start;
+  return {Env.clock().nowNs() - Start, Checksum};
 }
 
 void printAblation() {
@@ -53,54 +55,23 @@ void printAblation() {
   for (const browser::Profile &P : browser::allProfiles()) {
     browser::BrowserEnv Env(P);
     UnmanagedHeap Probe(Env, 4096);
-    uint64_t Ns = heapSweep(Env, 4000);
+    SweepResult R = heapSweep(Env, 4000);
     printf("%-10s %-14s %12.2f\n", P.Name.c_str(),
            Probe.usesTypedArray() ? "typed array" : "number array",
-           static_cast<double>(Ns) / 1e6);
+           static_cast<double>(R.VirtualNs) / 1e6);
     Json.row(P.Name)
         .metric("typed_array", Probe.usesTypedArray() ? 1 : 0)
-        .metric("virtual_ms", static_cast<double>(Ns) / 1e6);
+        .metric("virtual_ms", static_cast<double>(R.VirtualNs) / 1e6)
+        .metric("checksum", static_cast<double>(R.Checksum));
   }
   Json.write();
   printf("(ie8 lacks typed arrays: every access decodes boxed doubles,\n"
          " §5.2 — the same mechanism that slows its Buffer in Figure 6)\n\n");
 }
 
-void BM_HeapSweep(benchmark::State &State) {
-  browser::BrowserEnv Env(browser::chromeProfile());
-  for (auto _ : State)
-    benchmark::DoNotOptimize(heapSweep(Env, 1000));
-}
-
-void BM_HeapMallocFree(benchmark::State &State) {
-  browser::BrowserEnv Env(browser::chromeProfile());
-  UnmanagedHeap Heap(Env, 1u << 20);
-  for (auto _ : State) {
-    UnmanagedHeap::Addr A = Heap.malloc(64);
-    Heap.free(A);
-  }
-}
-
-void BM_HeapInt64RoundTrip(benchmark::State &State) {
-  browser::BrowserEnv Env(browser::chromeProfile());
-  UnmanagedHeap Heap(Env, 4096);
-  UnmanagedHeap::Addr A = Heap.malloc(8);
-  int64_t V = 0x1122334455667788ll;
-  for (auto _ : State) {
-    Heap.writeInt64(A, V);
-    benchmark::DoNotOptimize(Heap.readInt64(A));
-  }
-}
-
 } // namespace
 
-BENCHMARK(BM_HeapSweep)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_HeapMallocFree);
-BENCHMARK(BM_HeapInt64RoundTrip);
-
-int main(int argc, char **argv) {
+int main() {
   printAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

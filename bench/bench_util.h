@@ -1,13 +1,10 @@
 //===- bench/bench_util.h - Shared evaluation harness -------------*- C++ -*-==//
 //
 // Deployment and measurement helpers shared by the per-figure benchmark
-// binaries. Every harness reports two dimensions (DESIGN.md):
-//
-//  - virtual browser time from the deterministic clock (drives the
-//    per-browser series, exactly reproducible), and
-//  - real host time of the C++ interpreter (via google-benchmark), which
-//    gives the honest DoppioJS-vs-native-interpreter factor on this
-//    machine.
+// binaries. Every harness reports virtual browser time from the
+// deterministic clock, so a second run reproduces its figures exactly.
+// Host time is perfbench's alone (perfbench/README.md), which measures it
+// with fixed-work blocks and a stated spread.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,7 +61,6 @@ struct RunMetrics {
   uint64_t Resumptions = 0;
   uint64_t Ops = 0;
   uint64_t SuspendYields = 0;
-  double RealSeconds = 0;
   std::string Output;
   uint64_t FsOperations = 0;
   uint64_t FsBytes = 0;
@@ -86,12 +82,8 @@ inline RunMetrics runJvmWorkload(const workloads::Workload &W,
                                  const browser::Profile &P,
                                  jvm::JvmOptions Options = jvm::JvmOptions()) {
   Deployment D(W, Mode, P, Options);
-  auto Start = std::chrono::steady_clock::now();
   RunMetrics M;
   M.Exit = D.Vm->runMainToCompletion(W.MainClass, W.Args);
-  M.RealSeconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
   M.VirtualWallNs = D.Env.clock().nowNs();
   M.SuspendedNs = D.Vm->suspender().totalSuspendedNs();
   M.Resumptions = D.Vm->suspender().resumptionCount();
@@ -148,12 +140,14 @@ inline void printBrowserHeader(const char *FirstColumn) {
 /// Machine-readable result emission: every harness writes a
 /// `BENCH_<name>.json` next to its table so the repo accumulates a perf
 /// trajectory that scripts can diff across commits. The file holds the
-/// deterministic virtual-clock series (one row per browser/configuration)
-/// plus the host-time factor of generating them on this machine.
+/// deterministic virtual-clock series (one row per browser/configuration),
+/// the harness's acceptance-gate values, and one host key, `table_seconds`
+/// (how long the table took to generate), which is the only value that
+/// differs between two runs.
 ///
 ///   BenchJson J("fig7_server");
 ///   J.row("chrome").metric("req_per_s", 144200).metric("p99_us", 727.1);
-///   J.hostMetric("slowdown_factor", 38.2);   // optional
+///   J.gate("gate_ok", 1);                    // optional
 ///   J.write();                               // -> BENCH_fig7_server.json
 class BenchJson {
 public:
@@ -184,9 +178,9 @@ public:
     return Rows.back();
   }
 
-  /// Adds a host-time metric (real-machine measurement, not virtual).
-  void hostMetric(const std::string &Key, double Value) {
-    HostMetrics.emplace_back(Key, Value);
+  /// Adds a whole-run acceptance-gate value (virtual, like the series).
+  void gate(const std::string &Key, double Value) {
+    Gates.emplace_back(Key, Value);
   }
 
   /// Writes BENCH_<name>.json into the working directory. Returns false
@@ -202,7 +196,7 @@ public:
       return false;
     }
     fprintf(F, "{\n  \"bench\": \"%s\",\n", Name.c_str());
-    fprintf(F, "  \"schema\": \"doppio-bench-v1\",\n");
+    fprintf(F, "  \"schema\": \"doppio-bench-v2\",\n");
     fprintf(F, "  \"clock\": \"virtual\",\n");
     fprintf(F, "  \"series\": [\n");
     for (size_t I = 0; I < Rows.size(); ++I) {
@@ -213,10 +207,13 @@ public:
       fprintf(F, "}%s\n", I + 1 < Rows.size() ? "," : "");
     }
     fprintf(F, "  ],\n");
-    fprintf(F, "  \"host\": {\"table_seconds\": %s", num(HostSeconds).c_str());
-    for (const auto &[K, V] : HostMetrics)
-      fprintf(F, ", \"%s\": %s", K.c_str(), num(V).c_str());
-    fprintf(F, "}\n}\n");
+    fprintf(F, "  \"gates\": {");
+    for (size_t I = 0; I < Gates.size(); ++I)
+      fprintf(F, "%s\"%s\": %s", I ? ", " : "", Gates[I].first.c_str(),
+              num(Gates[I].second).c_str());
+    fprintf(F, "},\n");
+    fprintf(F, "  \"host\": {\"table_seconds\": %s}\n}\n",
+            num(HostSeconds).c_str());
     fclose(F);
     printf("[wrote %s]\n", Path.c_str());
     return true;
@@ -235,7 +232,7 @@ private:
   std::string Name;
   std::chrono::steady_clock::time_point Started;
   std::vector<Row> Rows;
-  std::vector<std::pair<std::string, double>> HostMetrics;
+  std::vector<std::pair<std::string, double>> Gates;
 };
 
 } // namespace bench

@@ -10,15 +10,13 @@
 // Safari never collects typed arrays, so the file-heavy workload drives
 // the machine into paging (§7.1).
 //
-// Two dimensions are reported: the deterministic virtual-clock table
-// (browser series), and google-benchmark real-time runs of the DoppioJS
-// interpreter vs the native-mode interpreter on this host.
+// Every factor is virtual (the calibrated model, DESIGN.md); host time is
+// perfbench's. Exit 1 if any run fails or DoppioJS output differs from
+// the native run's.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench_util.h"
-
-#include <benchmark/benchmark.h>
 
 using namespace doppio;
 using namespace doppio::bench;
@@ -45,7 +43,9 @@ const char *paperLabel(const std::string &Name) {
   return nullptr;
 }
 
-void printFigure3() {
+/// Returns true iff every run exited 0 with DoppioJS output identical to
+/// the native run's.
+bool printFigure3() {
   printf("==========================================================\n");
   printf("Figure 3: slowdown vs the HotSpot interpreter (virtual)\n");
   printf("(paper: Chrome between 24x and 42x, geomean 32x; Safari\n");
@@ -53,6 +53,7 @@ void printFigure3() {
   printf("==========================================================\n");
   printBrowserHeader("benchmark");
   std::vector<double> ChromeFactors;
+  bool Ok = true;
   BenchJson Json("fig3_macro");
   for (Workload &W : macroWorkloads()) {
     RunMetrics Native =
@@ -60,6 +61,7 @@ void printFigure3() {
                        browser::chromeProfile());
     if (Native.Exit != 0) {
       printf("%-14s FAILED (exit %d)\n", W.Name.c_str(), Native.Exit);
+      Ok = false;
       continue;
     }
     uint64_t BaselineNs = nativeNominalNs(Native);
@@ -68,6 +70,7 @@ void printFigure3() {
     for (const browser::Profile &P : browser::allProfiles()) {
       RunMetrics Js = runJvmWorkload(W, ExecutionMode::DoppioJS, P);
       if (Js.Exit != 0 || Js.Output != Native.Output) {
+        Ok = false;
         Cells.push_back(-1);
         R.metric(P.Name, -1);
         continue;
@@ -76,8 +79,6 @@ void printFigure3() {
                       static_cast<double>(BaselineNs);
       Cells.push_back(Factor);
       R.metric(P.Name, Factor);
-      if (&P == &browser::allProfiles().front() && Native.RealSeconds > 0)
-        R.metric("host_factor", Js.RealSeconds / Native.RealSeconds);
     }
     const char *Alias = paperLabel(W.Name);
     printRow(Alias ? Alias : W.Name.c_str(), Cells);
@@ -85,60 +86,16 @@ void printFigure3() {
   }
   printf("%-14s %9.1fx   (paper: 32x)\n", "geomean(chrome)",
          geomean(ChromeFactors));
-  Json.hostMetric("geomean_chrome", geomean(ChromeFactors));
+  Json.row("geomean").metric("chrome", geomean(ChromeFactors));
   Json.write();
   printf("* classdump/minicompile are the synthesized javap/javac analogs"
          " (DESIGN.md)\n\n");
+  if (!Ok)
+    fprintf(stderr, "fig3: a run failed or its output differed from the "
+                    "native run's\n");
+  return Ok;
 }
-
-//===--------------------------------------------------------------------===//
-// Real-host-time benchmarks (google-benchmark)
-//===--------------------------------------------------------------------===//
-
-void BM_Macro_DoppioJS(benchmark::State &State, Workload (*Make)()) {
-  Workload W = Make();
-  for (auto _ : State) {
-    RunMetrics M = runJvmWorkload(W, ExecutionMode::DoppioJS,
-                                  browser::chromeProfile());
-    if (M.Exit != 0)
-      State.SkipWithError("workload failed");
-    State.counters["bytecodes"] = static_cast<double>(M.Ops);
-  }
-}
-
-void BM_Macro_Native(benchmark::State &State, Workload (*Make)()) {
-  Workload W = Make();
-  for (auto _ : State) {
-    RunMetrics M = runJvmWorkload(W, ExecutionMode::NativeHotspot,
-                                  browser::chromeProfile());
-    if (M.Exit != 0)
-      State.SkipWithError("workload failed");
-    State.counters["bytecodes"] = static_cast<double>(M.Ops);
-  }
-}
-
-Workload makeRecursiveBench() { return makeRecursive(20, 6); }
-Workload makeTreesBench() { return makeBinaryTrees(9); }
-Workload makeQueensBench() { return makeNQueens(8); }
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_Macro_DoppioJS, recursive, makeRecursiveBench)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
-BENCHMARK_CAPTURE(BM_Macro_Native, recursive, makeRecursiveBench)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
-BENCHMARK_CAPTURE(BM_Macro_DoppioJS, binarytrees, makeTreesBench)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
-BENCHMARK_CAPTURE(BM_Macro_Native, binarytrees, makeTreesBench)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
-BENCHMARK_CAPTURE(BM_Macro_DoppioJS, nqueens, makeQueensBench)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
-BENCHMARK_CAPTURE(BM_Macro_Native, nqueens, makeQueensBench)
-    ->Unit(benchmark::kMillisecond)->Iterations(2);
-
-int main(int argc, char **argv) {
-  printFigure3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+int main() { return printFigure3() ? 0 : 1; }

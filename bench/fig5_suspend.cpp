@@ -14,8 +14,6 @@
 
 #include "bench_util.h"
 
-#include <benchmark/benchmark.h>
-
 using namespace doppio;
 using namespace doppio::bench;
 using namespace doppio::jvm;
@@ -49,8 +47,7 @@ void printFigure5() {
       printf(" %9.2f%%", suspendedPercent(Js));
       Json.row(std::string(M.Label) + "/" + P.Name)
           .metric("suspended_pct", suspendedPercent(Js))
-          .metric("resumptions", static_cast<double>(Js.Resumptions))
-          .metric("host_seconds", Js.RealSeconds);
+          .metric("resumptions", static_cast<double>(Js.Resumptions));
     }
     printf("\n");
   }
@@ -111,28 +108,11 @@ void printCounterAblation() {
          "   counter holds the configured slice)\n\n");
 }
 
-void BM_SuspendCheckOverhead(benchmark::State &State, bool Segmented) {
-  // Real-host cost of the suspend checks themselves: the same workload
-  // with segmentation (DoppioJS) vs without (native mode).
-  Workload W = makeDeltaBlue(60, 400);
-  ExecutionMode Mode =
-      Segmented ? ExecutionMode::DoppioJS : ExecutionMode::NativeHotspot;
-  for (auto _ : State)
-    runJvmWorkload(W, Mode, browser::chromeProfile());
-}
-
 } // namespace
 
-BENCHMARK_CAPTURE(BM_SuspendCheckOverhead, segmented, true)
-    ->Unit(benchmark::kMillisecond)->Iterations(3);
-BENCHMARK_CAPTURE(BM_SuspendCheckOverhead, unsegmented, false)
-    ->Unit(benchmark::kMillisecond)->Iterations(3);
-
-int main(int argc, char **argv) {
+int main() {
   printFigure5();
   printMechanismAblation();
   printCounterAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

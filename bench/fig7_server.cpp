@@ -22,8 +22,6 @@
 #include "doppio/server/handlers.h"
 #include "workloads/traffic.h"
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
@@ -204,23 +202,9 @@ void printFigure7() {
   }
 }
 
-void BM_ServerLoad_Chrome(benchmark::State &State) {
-  for (auto _ : State) {
-    Fig7Result R = runServerLoad(browser::chromeProfile());
-    State.counters["served"] =
-        static_cast<double>(R.Stats.RequestsServed);
-    State.counters["active_after"] = static_cast<double>(R.Stats.Active);
-  }
-}
-
 } // namespace
 
-BENCHMARK(BM_ServerLoad_Chrome)->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-
-int main(int argc, char **argv) {
+int main() {
   printFigure7();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

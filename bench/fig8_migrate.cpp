@@ -30,8 +30,6 @@
 #include "jvm/classfile/builder.h"
 #include "jvm/proc_program.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -259,8 +257,8 @@ void printFigure8() {
         .metric("dst_exit", static_cast<double>(Mig.DstExit))
         .metric("row_ok", Ok ? 1 : 0);
   }
-  Json.hostMetric("downtime_us_max", static_cast<double>(DowntimeUsMax));
-  Json.hostMetric("output_identical_all", AllOk ? 1 : 0);
+  Json.gate("downtime_us_max", static_cast<double>(DowntimeUsMax));
+  Json.gate("output_identical_all", AllOk ? 1 : 0);
   Json.write();
   printf("(capture/restore on the source/destination virtual clocks;\n"
          " downtime adds the fabric hop. The blob is the whole guest:\n"
@@ -271,25 +269,9 @@ void printFigure8() {
   }
 }
 
-void BM_Migrate_Chrome(benchmark::State &State) {
-  std::vector<uint8_t> Klass = tickerClassBytes(TickerN);
-  for (auto _ : State) {
-    MigrateRun Mig = runOnce(browser::chromeProfile(), Klass, true);
-    State.counters["capture_us_virtual"] =
-        static_cast<double>(Mig.CaptureUs);
-    State.counters["blob_bytes"] = static_cast<double>(Mig.BlobBytes);
-    State.counters["downtime_us_virtual"] =
-        static_cast<double>(Mig.DowntimeUs);
-  }
-}
-
 } // namespace
 
-BENCHMARK(BM_Migrate_Chrome)->Unit(benchmark::kMillisecond)->Iterations(2);
-
-int main(int argc, char **argv) {
+int main() {
   printFigure8();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -15,8 +15,6 @@
 #include "doppio/sockets.h"
 #include "vm32/game.h"
 
-#include <benchmark/benchmark.h>
-
 using namespace doppio;
 using namespace doppio::bench;
 using namespace doppio::jvm;
@@ -293,22 +291,9 @@ void printTable1() {
   printf("('*' / '+': limited support per the paper's footnotes)\n\n");
 }
 
-void BM_FeatureProbeSuite(benchmark::State &State) {
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(probeFileSystem());
-    benchmark::DoNotOptimize(probeHeap());
-    benchmark::DoNotOptimize(probeExceptions());
-  }
-}
-
 } // namespace
 
-BENCHMARK(BM_FeatureProbeSuite)->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-
-int main(int argc, char **argv) {
+int main() {
   printTable1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

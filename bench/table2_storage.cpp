@@ -9,8 +9,6 @@
 
 #include "bench_util.h"
 
-#include <benchmark/benchmark.h>
-
 using namespace doppio;
 using namespace doppio::bench;
 using namespace doppio::browser;
@@ -118,38 +116,9 @@ void printTable2() {
          "\nrestores synchronous semantics (§5.1/§4.2).\n\n");
 }
 
-void BM_LocalStorageWrite64K(benchmark::State &State) {
-  BrowserEnv Env(chromeProfile());
-  js::String Chunk(32 * 1024, u'x');
-  int Key = 0;
-  for (auto _ : State) {
-    if (Env.localStorage().setItem("k" + std::to_string(Key++), Chunk) !=
-        StoreResult::Ok) {
-      Env.localStorage().clear();
-      Key = 0;
-    }
-  }
-}
-
-void BM_IndexedDbWrite64K(benchmark::State &State) {
-  BrowserEnv Env(chromeProfile());
-  std::vector<uint8_t> Chunk(64 * 1024, 7);
-  int Key = 0;
-  for (auto _ : State) {
-    Env.indexedDB()->put("k" + std::to_string(Key++), Chunk,
-                         [](bool) {});
-    Env.loop().run();
-  }
-}
-
 } // namespace
 
-BENCHMARK(BM_LocalStorageWrite64K)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_IndexedDbWrite64K)->Unit(benchmark::kMicrosecond);
-
-int main(int argc, char **argv) {
+int main() {
   printTable2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

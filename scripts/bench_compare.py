@@ -5,10 +5,9 @@ Usage: scripts/bench_compare.py <fresh_dir> <baseline_dir>
 
 Every bench harness writes BENCH_<name>.json into its working directory.
 Virtual-clock numbers are deterministic, so any difference in a `series`
-row or a `host` key between a fresh run and the baseline is drift and
-fails the comparison. The only keys exempt are the host-time measurements
-listed in HOST_TIME_KEYS (and the HOST_TIME_PREFIXES families), which vary
-from run to run on any machine.
+row, a `gates` key or a `host` key between a fresh run and the baseline
+is drift and fails the comparison. The only key exempt is the host time
+in HOST_TIME_KEYS, which varies from run to run on any machine.
 
 Each baseline file must have a fresh counterpart with the same rows (by
 label, in order) and the same keys. Fresh files without a baseline are
@@ -20,25 +19,13 @@ import json
 import pathlib
 import sys
 
-HOST_TIME_KEYS = {
-    "host_factor",
-    "guarded_s",
-    "elided_s",
-    "speedup",
-    "host_seconds",
-    "table_seconds",
-}
-HOST_TIME_PREFIXES = ("threaded_chrome4_",)
-
-
-def host_time(key):
-    return key in HOST_TIME_KEYS or key.startswith(HOST_TIME_PREFIXES)
+HOST_TIME_KEYS = {"table_seconds"}
 
 
 def diff_metrics(where, fresh, base):
     """Yields one message per differing non-host-time key."""
     for key in sorted(set(fresh) | set(base)):
-        if host_time(key):
+        if key in HOST_TIME_KEYS:
             continue
         if key not in fresh:
             yield f"{where}: {key} missing from the fresh run"
@@ -63,8 +50,9 @@ def compare(fresh_doc, base_doc, name):
     for fresh_row, base_row in zip(fresh_rows, base_rows):
         yield from diff_metrics(f"{name} [{base_row.get('label')}]",
                                 fresh_row, base_row)
-    yield from diff_metrics(f"{name} host", fresh_doc.get("host", {}),
-                            base_doc.get("host", {}))
+    for key in ("gates", "host"):
+        yield from diff_metrics(f"{name} {key}", fresh_doc.get(key, {}),
+                                base_doc.get(key, {}))
 
 
 def main(argv):

@@ -86,7 +86,7 @@ void TrafficGen::nextRequest(Client &C) {
                 [this, &C, SentNs, Span](server::frame::Response R) {
                   Env.metrics().spans().end(Span);
                   ++C.Received;
-                  Report.LatenciesNs.push_back(Env.clock().nowNs() - SentNs);
+                  Report.Latencies.record(Env.clock().nowNs() - SentNs);
                   if (R.S == server::frame::Status::Ok)
                     ++Report.Completed;
                   else

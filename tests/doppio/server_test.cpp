@@ -575,7 +575,7 @@ TEST(Traffic, GeneratorCompletesAllRequestsAndDrains) {
   EXPECT_EQ(Rep.Completed, 50u);
   EXPECT_EQ(Rep.Errors, 0u);
   EXPECT_EQ(Rep.ConnectFailures, 0u);
-  EXPECT_EQ(Rep.LatenciesNs.size(), 50u);
+  EXPECT_EQ(Rep.Latencies.count(), 50u);
   EXPECT_GT(Rep.requestsPerSecond(), 0.0);
   EXPECT_GE(Rep.p99Ns(), Rep.p50Ns());
   EXPECT_TRUE(Drained);
@@ -604,7 +604,9 @@ std::string shapeOf(const std::string &Text) {
 TEST(Traffic, RegistryFootprintIsFlatUnderTraffic) {
   // 1k echo requests, then 100k more through the same tab: the histograms
   // keep nothing per sample, so the registry's renders keep one shape and
-  // one size once their values are masked.
+  // one size once their values are masked, and each client report is
+  // its inline histogram whatever its request count.
+  static_assert(std::is_trivially_copyable_v<workloads::TrafficReport>);
   ServerRig R;
   auto Drive = [&](size_t PerClient) {
     workloads::TrafficConfig Cfg;
@@ -617,6 +619,7 @@ TEST(Traffic, RegistryFootprintIsFlatUnderTraffic) {
     Gen.start();
     R.Env.loop().run();
     EXPECT_EQ(Gen.report().Completed, 10 * PerClient);
+    EXPECT_EQ(Gen.report().Latencies.count(), 10 * PerClient);
   };
   const obs::Registry &Reg = R.Env.metrics();
   Drive(100);
